@@ -665,6 +665,51 @@ TEST(CorrelateTest, IncrementalStateRecoversPastChangelogHorizon) {
   EXPECT_EQ(incremental.gateways_inferred_from_mac, 1);
 }
 
+// A store landing between the interface and subnet delta reads of one pass
+// must reach a later pass. Each table keeps its own cursor; a single cursor
+// advanced to the later read's generation would skip the store for good.
+TEST(CorrelateTest, StoreBetweenDeltaReadsReachesNextPass) {
+  SimTime now = SimTime::Epoch();
+  JournalServer server([&now]() { return now; });
+  JournalClient writer(&server);
+  const MacAddress shared_mac(0, 0, 0x0c, 7, 7, 7);
+  auto arm = [&](uint8_t subnet) {
+    InterfaceObservation obs;
+    obs.ip = Ipv4Address(128, 138, subnet, 1);
+    obs.mac = shared_mac;
+    obs.mask = SubnetMask::FromPrefixLength(24);
+    writer.StoreInterface(obs, DiscoverySource::kArpWatch);
+  };
+  arm(1);
+
+  // Lands the gateway's second arm just before the server answers the next
+  // subnet delta read, i.e. after the same pass's interface delta read.
+  bool armed = false;
+  JournalClient racing([&](const ByteBuffer& request) {
+    const std::optional<JournalRequest> decoded = JournalRequest::Decode(request);
+    if (armed && decoded.has_value() && decoded->type == RequestType::kGetChangedSince &&
+        decoded->changed_kind == RecordKind::kSubnet) {
+      armed = false;
+      arm(2);
+    }
+    return server.HandleRequest(request);
+  });
+  CorrelationState state;
+  state.Update(racing, now);  // First pass: full refetch, no delta reads.
+  now += Duration::Minutes(1);
+  armed = true;
+  state.Update(racing, now);
+  ASSERT_FALSE(armed) << "the second arm never landed";
+
+  CorrelationReport incremental = state.Update(racing, now);
+  // The pass that saw the arm also stored the gateway it makes.
+  ASSERT_EQ(writer.GetGateways().size(), 1u);
+  EXPECT_EQ(writer.GetGateways()[0].interface_ids.size(), 2u);
+  CorrelationReport full = Correlate(writer, 24, now);
+  ExpectReportsEqual(full, incremental, /*round=*/-1);
+  EXPECT_EQ(incremental.gateways_inferred_from_mac, 1);
+}
+
 TEST(DiscoveryManagerJournalTest, AutoCorrelationRunsIncrementallyAfterTicks) {
   EventQueue events;
   JournalServer server([&events]() { return events.Now(); });
