@@ -33,8 +33,9 @@ void ExplorerModule::Start(CompletionFn done) {
   // make_current = false: the run outlives this call. The span still parents
   // on whatever is current here (the Discovery Manager's tick span), and
   // ScheduleGuarded re-activates it for each of the run's events.
-  run_span_.emplace(key_.c_str(), report_.started, telemetry::Tracer::Global(),
-                    telemetry::SpanContext{}, /*make_current=*/false);
+  run_span_.emplace(telemetry::SpanName::ModuleRun(key_), report_.started,
+                    telemetry::Tracer::Global(), telemetry::SpanContext{},
+                    /*make_current=*/false);
   run_span_->RecordStart(telemetry::TraceEventKind::kModuleRunStart);
   const telemetry::CurrentSpanScope scope(telemetry::Tracer::Global(), run_span_->context());
   StartImpl();

@@ -75,8 +75,16 @@ void JournalBatchWriter::Commit() {
       case RequestType::kDeleteSubnet:
         result.ok = client_->DeleteSubnet(item.delete_id);
         break;
-      default:
-        break;
+      case RequestType::kGetInterfaces:
+      case RequestType::kGetGateways:
+      case RequestType::kGetSubnets:
+      case RequestType::kGetStats:
+      case RequestType::kBatch:
+      case RequestType::kGetChangedSince:
+      case RequestType::kSubscribe:
+      case RequestType::kUnsubscribe:
+      case RequestType::kPushUpdate:
+        break;  // Emplace() only queues store/delete items.
     }
     ++totals_.records_written;
     if (result.created || result.changed) {

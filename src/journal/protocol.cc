@@ -113,6 +113,30 @@ bool IsGetType(RequestType type) {
   return type == RequestType::kGetInterfaces || type == RequestType::kGetGateways ||
          type == RequestType::kGetSubnets || type == RequestType::kGetStats;
 }
+
+// True when a frame's type byte names a RequestType. Exhaustive rather than a
+// range check, so a new enumerator is decodable as soon as it compiles.
+bool IsRequestType(uint8_t byte) {
+  switch (static_cast<RequestType>(byte)) {
+    case RequestType::kStoreInterface:
+    case RequestType::kStoreGateway:
+    case RequestType::kStoreSubnet:
+    case RequestType::kGetInterfaces:
+    case RequestType::kGetGateways:
+    case RequestType::kGetSubnets:
+    case RequestType::kDeleteInterface:
+    case RequestType::kDeleteGateway:
+    case RequestType::kDeleteSubnet:
+    case RequestType::kGetStats:
+    case RequestType::kBatch:
+    case RequestType::kGetChangedSince:
+    case RequestType::kSubscribe:
+    case RequestType::kUnsubscribe:
+    case RequestType::kPushUpdate:
+      return true;
+  }
+  return false;
+}
 }  // namespace
 
 void JournalRequest::EncodeBatchFrame(ByteWriter& writer, DiscoverySource source,
@@ -206,7 +230,7 @@ ByteBuffer JournalRequest::Encode() const {
 
 bool JournalRequest::DecodeInto(JournalRequest& out, ByteReader& reader, bool inside_batch) {
   uint8_t type = reader.ReadU8();
-  if (type < 1 || type > static_cast<uint8_t>(RequestType::kPushUpdate)) {
+  if (!IsRequestType(type)) {
     return false;
   }
   out.type = static_cast<RequestType>(type);

@@ -83,9 +83,18 @@ inline bool IsBatchableType(RequestType type) {
     case RequestType::kDeleteGateway:
     case RequestType::kDeleteSubnet:
       return true;
-    default:
+    case RequestType::kGetInterfaces:
+    case RequestType::kGetGateways:
+    case RequestType::kGetSubnets:
+    case RequestType::kGetStats:
+    case RequestType::kBatch:
+    case RequestType::kGetChangedSince:
+    case RequestType::kSubscribe:
+    case RequestType::kUnsubscribe:
+    case RequestType::kPushUpdate:
       return false;
   }
+  return false;
 }
 
 // Stable lowercase name for telemetry keys and trace details.

@@ -51,9 +51,7 @@ bool JournalQueryCache::Current(MirroredTable<Record>& table) {
   ++stats_.patches;
   metrics.GetCounter(telemetry::names::kJournalClientCacheHits)->Increment();
   // Untimed breadcrumb in the consumer's trace: the table this pass read was
-  // repaired from deltas, not refetched. Its `records` field has only ever
-  // counted the delta's tombstones (the changed records used to be moved out
-  // before it was formatted); it stays that way so traces keep their bytes.
+  // repaired from deltas, not refetched.
   auto& tracer = telemetry::Tracer::Global();
   if (tracer.enabled()) {
     const auto tombstones = static_cast<size_t>(
@@ -62,7 +60,8 @@ bool JournalQueryCache::Current(MirroredTable<Record>& table) {
     tracer.Record(SimTime::FromMicros(0), telemetry::TraceEventKind::kChangelogDelta,
                   "query_cache",
                   StringPrintf("patched kind=%d records=%zu tombstones=%zu",
-                               static_cast<int>(table.kind()), tombstones, tombstones));
+                               static_cast<int>(table.kind()), sync.changes.size() - tombstones,
+                               tombstones));
   }
   return true;
 }

@@ -19,18 +19,7 @@ namespace {
 // Requests that mutate the Journal (records, generation, changelog) and so
 // need the exclusive side of the ingest lock.
 bool IsWriteRequest(RequestType type) {
-  switch (type) {
-    case RequestType::kStoreInterface:
-    case RequestType::kStoreGateway:
-    case RequestType::kStoreSubnet:
-    case RequestType::kDeleteInterface:
-    case RequestType::kDeleteGateway:
-    case RequestType::kDeleteSubnet:
-    case RequestType::kBatch:
-      return true;
-    default:
-      return false;
-  }
+  return type == RequestType::kBatch || IsBatchableType(type);
 }
 
 }  // namespace
@@ -137,7 +126,15 @@ BatchItemResult JournalServer::ApplyWrite(const JournalRequest& item, SimTime no
       r.status = journal_.DeleteSubnet(item.delete_id) ? ResponseStatus::kOk
                                                        : ResponseStatus::kNotFound;
       return r;
-    default:
+    case RequestType::kGetInterfaces:
+    case RequestType::kGetGateways:
+    case RequestType::kGetSubnets:
+    case RequestType::kGetStats:
+    case RequestType::kBatch:
+    case RequestType::kGetChangedSince:
+    case RequestType::kSubscribe:
+    case RequestType::kUnsubscribe:
+    case RequestType::kPushUpdate:
       r.status = ResponseStatus::kMalformedRequest;
       return r;
   }
@@ -233,7 +230,14 @@ JournalResponse JournalServer::Dispatch(const JournalRequest& request, SimTime n
     case RequestType::kDeleteSubnet:
       resp.status = ApplyWrite(request, now).status;
       break;
-    default:
+    case RequestType::kGetInterfaces:
+    case RequestType::kGetGateways:
+    case RequestType::kGetSubnets:
+    case RequestType::kGetStats:
+    case RequestType::kGetChangedSince:
+    case RequestType::kSubscribe:
+    case RequestType::kUnsubscribe:
+    case RequestType::kPushUpdate:
       // Reads under the exclusive hold: exclusive implies shared, so a
       // typed-dispatch caller routing a query through the write path still
       // gets the right answer.
@@ -396,7 +400,7 @@ JournalResponse JournalServer::DispatchRead(const JournalRequest& request, SimTi
         for (const auto& [producer, n] : producers) {
           const telemetry::SpanContext link{producer.first, tracer.NewSpanId(), producer.second};
           tracer.RecordSpan(now, telemetry::TraceEventKind::kChangelogDelta,
-                            telemetry::names::kSpanJournalServer,
+                            telemetry::names::kSpanJournalServer.c_str(),
                             StringPrintf("kind=%d n=%zu consumed_by_trace=%" PRIu64,
                                          static_cast<int>(request.changed_kind), n,
                                          consumer_trace),
@@ -405,7 +409,13 @@ JournalResponse JournalServer::DispatchRead(const JournalRequest& request, SimTi
       }
       break;
     }
-    default:
+    case RequestType::kStoreInterface:
+    case RequestType::kStoreGateway:
+    case RequestType::kStoreSubnet:
+    case RequestType::kDeleteInterface:
+    case RequestType::kDeleteGateway:
+    case RequestType::kDeleteSubnet:
+    case RequestType::kBatch:
       // Writes never reach the shared path: Handle() routes them through
       // Dispatch(), and Dispatch() only delegates non-writes here.
       resp.status = ResponseStatus::kMalformedRequest;

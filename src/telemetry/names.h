@@ -1,4 +1,4 @@
-// Canonical telemetry metric names.
+// Canonical telemetry metric and span names.
 //
 // Every Counter/Gauge/Histogram in src/ must be registered through one of
 // these constants (or built from one of the shared per-module suffixes)
@@ -10,9 +10,35 @@
 // Adding a metric: declare the constant here, then use it at the call site.
 // Names stay "<family>/<metric>", lowercase, underscores only — the grouping
 // convention the exporters and fremont_report --telemetry rely on.
+//
+// Span names are checked by the compiler instead: see SpanName below.
 
 #ifndef SRC_TELEMETRY_NAMES_H_
 #define SRC_TELEMETRY_NAMES_H_
+
+#include <string>
+
+namespace fremont::telemetry {
+
+// The name of a telemetry::Span. Its constructor is explicit, so a string
+// literal does not convert to it: the names:: constants below construct it,
+// and ModuleRun() names a module run.
+class SpanName {
+ public:
+  // For the names:: constants only.
+  constexpr explicit SpanName(const char* name) : name_(name) {}
+
+  // A module run's span is named by the module's registry key ("seqping").
+  // The result points into `key`, which must outlive it.
+  static SpanName ModuleRun(const std::string& key) { return SpanName(key.c_str()); }
+
+  constexpr const char* c_str() const { return name_; }
+
+ private:
+  const char* name_;
+};
+
+}  // namespace fremont::telemetry
 
 namespace fremont::telemetry::names {
 
@@ -99,15 +125,15 @@ inline constexpr char kTelemetryTraceRecorded[] = "telemetry/trace_recorded";
 inline constexpr char kTelemetryTraceDropped[] = "telemetry/trace_dropped";
 
 // --- Span names ----------------------------------------------------------------
-// Every telemetry::Span constructed in src/ must name itself with one of
-// these constants or a runtime string (module-run spans use the module key);
-// fremont_lint rejects raw string literals at Span construction sites.
-inline constexpr char kSpanJournalServer[] = "journal_server";
-inline constexpr char kSpanJournalFlush[] = "journal_client";
-inline constexpr char kSpanCorrelate[] = "correlate";
-inline constexpr char kSpanManagerTick[] = "manager";
-inline constexpr char kSpanShardRun[] = "runtime_shard";
-inline constexpr char kSpanServeRefresh[] = "serve_refresh";
+// telemetry::Span takes a SpanName, and a string literal does not convert to
+// one: a span is named by one of these constants, or, for a module run, by
+// SpanName::ModuleRun(key). `Span span("typo", now)` does not compile.
+inline constexpr SpanName kSpanJournalServer{"journal_server"};
+inline constexpr SpanName kSpanJournalFlush{"journal_client"};
+inline constexpr SpanName kSpanCorrelate{"correlate"};
+inline constexpr SpanName kSpanManagerTick{"manager"};
+inline constexpr SpanName kSpanShardRun{"runtime_shard"};
+inline constexpr SpanName kSpanServeRefresh{"serve_refresh"};
 // Per-module sim-time run latency histograms, fed from the run span:
 // "module/run_latency_us/seqping".
 inline constexpr char kModuleRunLatencyUsPrefix[] = "module/run_latency_us/";

@@ -48,9 +48,9 @@ void PopActiveSpan(const Tracer* tracer, uint64_t span_id) {
 
 }  // namespace internal
 
-Span::Span(const char* name, SimTime start, Tracer& tracer, const SpanContext& remote_parent,
+Span::Span(SpanName name, SimTime start, Tracer& tracer, const SpanContext& remote_parent,
            bool make_current)
-    : tracer_(&tracer), name_(name), start_(start) {
+    : tracer_(&tracer), name_(name.c_str()), start_(start) {
   const SpanContext parent =
       remote_parent.valid() ? remote_parent : CurrentSpanContext(tracer);
   ctx_.trace_id = parent.valid() ? parent.trace_id : tracer.NewTraceId();

@@ -10,9 +10,9 @@
 // is destroyed without End() records nothing — abandoned work leaves no
 // misleading "completed" event.
 //
-// Span names must come from src/telemetry/names.h constants (or a runtime
-// string such as a module key); tools/fremont_lint rejects raw string
-// literals at Span construction sites, same as raw metric names.
+// A span is named by a SpanName (src/telemetry/names.h): one of the names::
+// constants, or SpanName::ModuleRun(key) for a module run. A string literal
+// does not convert to SpanName, so an ad-hoc span name fails to compile.
 //
 // Currency: by default a Span pushes itself onto the calling thread's
 // current-span stack for its C++ scope, so nested Record()/Span creation
@@ -26,6 +26,7 @@
 
 #include <string>
 
+#include "src/telemetry/names.h"
 #include "src/telemetry/trace.h"
 #include "src/util/sim_time.h"
 
@@ -42,7 +43,7 @@ class Span {
   // (wire-propagated context), else the thread's current span for `tracer`,
   // else a fresh trace root. With make_current the span stays the thread's
   // innermost span until End() or destruction, whichever comes first.
-  explicit Span(const char* name, SimTime start, Tracer& tracer = Tracer::Global(),
+  explicit Span(SpanName name, SimTime start, Tracer& tracer = Tracer::Global(),
                 const SpanContext& remote_parent = SpanContext{}, bool make_current = true);
   ~Span();
   Span(const Span&) = delete;

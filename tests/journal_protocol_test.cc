@@ -101,6 +101,46 @@ TEST(JournalProtocolTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(JournalResponse::Decode({0xff}).has_value());
 }
 
+// The decoder accepts exactly the RequestType enumerators. RequestTypeName()
+// names every enumerator (the build fails otherwise), so it tells the sweep
+// which type bytes must decode; every other byte must be rejected even when
+// a well-formed body follows it.
+TEST(JournalProtocolTest, EveryRequestTypeDecodesAndNoOtherTypeByteDoes) {
+  JournalRequest get;
+  get.type = RequestType::kGetInterfaces;
+  const ByteBuffer get_frame = get.Encode();
+  size_t enumerators = 0;
+  for (int byte = 0; byte <= 0xff; ++byte) {
+    const auto type = static_cast<RequestType>(byte);
+    if (std::string(RequestTypeName(type)) == "unknown") {
+      ByteBuffer frame = get_frame;
+      frame[0] = static_cast<uint8_t>(byte);
+      EXPECT_FALSE(JournalRequest::Decode(frame).has_value()) << "type byte " << byte;
+      continue;
+    }
+    ++enumerators;
+    JournalRequest req;
+    req.type = type;
+    if (type == RequestType::kStoreInterface) {
+      req.interface_obs = SampleInterfaceObs();
+    } else if (type == RequestType::kStoreGateway) {
+      req.gateway_obs.emplace().interface_ips.push_back(Ipv4Address(128, 138, 238, 1));
+    } else if (type == RequestType::kStoreSubnet) {
+      req.subnet_obs.emplace().subnet = *Subnet::Parse("128.138.238.0/24");
+    }
+    const auto decoded = JournalRequest::Decode(req.Encode());
+    ASSERT_TRUE(decoded.has_value()) << RequestTypeName(type);
+    EXPECT_EQ(decoded->type, type);
+  }
+  EXPECT_EQ(enumerators, 15u);
+
+  ByteBuffer frame = get_frame;
+  for (const uint8_t byte : {0, 16}) {
+    frame[0] = byte;
+    EXPECT_FALSE(JournalRequest::Decode(frame).has_value()) << "type byte " << int{byte};
+  }
+}
+
 class JournalServerTest : public ::testing::Test {
  protected:
   JournalServerTest() : server_([this]() { return now_; }), client_(&server_) {}

@@ -18,6 +18,7 @@
 #include "src/manager/correlate.h"
 #include "src/sim/simulator.h"
 #include "src/sim/topology.h"
+#include "src/telemetry/trace.h"
 
 namespace fremont {
 namespace {
@@ -239,6 +240,47 @@ TEST(JournalV2ChangeFeedTest, TombstonesPropagateThroughDeltaAndPatchedCache) {
   ASSERT_EQ(delta.tombstones.size(), 1u);
   EXPECT_EQ(delta.tombstones[0], churn_id);
   EXPECT_EQ(reader.GetInterfaces().size(), 3u);
+}
+
+// The cache's "patched" trace breadcrumb reports the delta it applied: the
+// changed records and the tombstones, each in its own field.
+TEST(JournalV2QueryCacheTest, PatchedBreadcrumbCountsChangedRecordsAndTombstones) {
+  SimTime now = SimTime::Epoch();
+  JournalServer server([&now]() { return now; });
+  JournalClient writer(&server);
+  JournalClient reader(&server);
+  reader.EnableQueryCache(/*exclusive=*/false);
+
+  std::vector<InterfaceObservation> observations(3);
+  std::vector<RecordId> ids;
+  for (uint32_t i = 0; i < observations.size(); ++i) {
+    observations[i].ip = Ipv4Address(128, 138, 3, static_cast<uint8_t>(10 + i));
+    observations[i].mac = MacAddress::FromIndex(i);
+    ids.push_back(writer.StoreInterface(observations[i], DiscoverySource::kArpWatch).id);
+  }
+  ASSERT_EQ(reader.GetInterfaces().size(), 3u);  // Prime the cache.
+
+  // Two changed records (one renamed, one new) and one tombstone.
+  now += Duration::Seconds(30);
+  observations[0].dns_name = "renamed.colorado.edu";
+  writer.StoreInterface(observations[0], DiscoverySource::kDns);
+  InterfaceObservation added;
+  added.ip = Ipv4Address(128, 138, 3, 99);
+  added.mac = MacAddress::FromIndex(99);
+  writer.StoreInterface(added, DiscoverySource::kArpWatch);
+  ASSERT_TRUE(writer.DeleteInterface(ids[1]));
+
+  auto& tracer = telemetry::Tracer::Global();
+  tracer.Clear();
+  ASSERT_EQ(reader.GetInterfaces().size(), 3u);
+  std::vector<std::string> breadcrumbs;
+  for (const auto& event : tracer.Events()) {
+    if (event.module == "query_cache") {
+      breadcrumbs.push_back(event.detail);
+    }
+  }
+  ASSERT_EQ(breadcrumbs.size(), 1u);
+  EXPECT_EQ(breadcrumbs[0], "patched kind=0 records=2 tombstones=1");
 }
 
 // Asking for changes from before the changelog horizon must not return a

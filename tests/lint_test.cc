@@ -54,19 +54,6 @@ TEST(FremontLint, CleanFixturePassesAllRules) {
   EXPECT_TRUE(issues.empty()) << Dump(issues);
 }
 
-TEST(FremontLint, MissingDispatchCaseIsFlagged) {
-  const std::vector<Issue> issues = CheckWireOpCoverage(Fixture("missing_dispatch"));
-  ASSERT_FALSE(issues.empty());
-  for (const Issue& issue : issues) {
-    EXPECT_EQ(issue.rule, "wire-op-coverage");
-  }
-  // kGet reaches the codec but not the server dispatch.
-  EXPECT_TRUE(AnyMessageContains(issues, "kGet")) << Dump(issues);
-  EXPECT_TRUE(AnyMessageContains(issues, "server dispatch")) << Dump(issues);
-  EXPECT_FALSE(AnyMessageContains(issues, "kStore")) << Dump(issues);
-  EXPECT_FALSE(RunAllRules(Fixture("missing_dispatch")).empty());
-}
-
 TEST(FremontLint, RawMetricLiteralIsFlagged) {
   const std::vector<Issue> issues = CheckMetricNameLiterals(Fixture("raw_metric"));
   ASSERT_EQ(issues.size(), 1u) << Dump(issues);
@@ -84,18 +71,6 @@ TEST(FremontLint, UnguardedScheduleIsFlagged) {
   EXPECT_EQ(issues[0].file, "src/explorer/probe.cc");
   EXPECT_TRUE(AnyMessageContains(issues, "ScheduleGuarded")) << Dump(issues);
   EXPECT_FALSE(RunAllRules(Fixture("unguarded_schedule")).empty());
-}
-
-TEST(FremontLint, RawSpanNameLiteralIsFlagged) {
-  const std::vector<Issue> issues = CheckSpanNameLiterals(Fixture("raw_span_name"));
-  ASSERT_EQ(issues.size(), 1u) << Dump(issues);
-  EXPECT_EQ(issues[0].rule, "span-name-literal");
-  EXPECT_EQ(issues[0].file, "src/telemetry/span_user.cc");
-  EXPECT_GT(issues[0].line, 0);
-  EXPECT_TRUE(AnyMessageContains(issues, "names.h")) << Dump(issues);
-  EXPECT_FALSE(RunAllRules(Fixture("raw_span_name")).empty());
-  // Constants and runtime names (the only things the real tree uses) pass.
-  EXPECT_TRUE(CheckSpanNameLiterals(Fixture("clean")).empty());
 }
 
 TEST(FremontLint, RawThreadOutsideRuntimeIsFlagged) {

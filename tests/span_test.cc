@@ -62,7 +62,7 @@ TEST(SpanTest, EndRecordsOneCompletionAtStartTime) {
   // `at` is the span's START; (at, at + duration_us) is its interval.
   EXPECT_EQ(events[0].at.ToMicros(), 100);
   EXPECT_EQ(events[0].duration_us, 250);
-  EXPECT_EQ(events[0].module, names::kSpanJournalFlush);
+  EXPECT_EQ(events[0].module, names::kSpanJournalFlush.c_str());
   EXPECT_EQ(events[0].detail, "batch_flush n=3");
   EXPECT_EQ(events[0].ctx.trace_id, span.context().trace_id);
   EXPECT_EQ(events[0].ctx.span_id, span.context().span_id);
@@ -282,11 +282,12 @@ TEST(EndToEndTraceTest, OneTraceLinksFlushStoreAndDeltaConsumption) {
   const TraceEvent* store = nullptr;
   const TraceEvent* link = nullptr;
   for (const auto& event : events) {
-    if (event.kind == TraceEventKind::kJournalRpc && event.module == names::kSpanJournalFlush) {
+    if (event.kind == TraceEventKind::kJournalRpc &&
+        event.module == names::kSpanJournalFlush.c_str()) {
       flush = &event;
     }
-    if (event.kind == TraceEventKind::kJournalRpc && event.module == names::kSpanJournalServer &&
-        event.detail == "batch") {
+    if (event.kind == TraceEventKind::kJournalRpc &&
+        event.module == names::kSpanJournalServer.c_str() && event.detail == "batch") {
       store = &event;
     }
     if (event.kind == TraceEventKind::kChangelogDelta) {
@@ -311,8 +312,8 @@ TEST(EndToEndTraceTest, OneTraceLinksFlushStoreAndDeltaConsumption) {
       << link->detail;
 
   const std::string view = TraceProvenanceView(events, trace);
-  EXPECT_NE(view.find(names::kSpanJournalFlush), std::string::npos) << view;
-  EXPECT_NE(view.find(names::kSpanJournalServer), std::string::npos) << view;
+  EXPECT_NE(view.find(names::kSpanJournalFlush.c_str()), std::string::npos) << view;
+  EXPECT_NE(view.find(names::kSpanJournalServer.c_str()), std::string::npos) << view;
   EXPECT_NE(view.find("consumed by trace"), std::string::npos) << view;
 }
 

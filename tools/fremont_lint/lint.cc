@@ -75,32 +75,6 @@ bool ContainsToken(const std::string& code, const std::string& name) {
   return FindToken(code, name) != std::string::npos;
 }
 
-// Extracts the brace-balanced block that follows the first boundary match of
-// `name` (an enum or a qualified function definition). Empty when the name
-// or its opening brace is missing.
-std::string BlockAfter(const std::string& code, const std::string& name) {
-  const size_t at = FindToken(code, name);
-  if (at == std::string::npos) {
-    return {};
-  }
-  const size_t open = code.find('{', at);
-  if (open == std::string::npos) {
-    return {};
-  }
-  int depth = 0;
-  for (size_t i = open; i < code.size(); ++i) {
-    if (code[i] == '{') {
-      ++depth;
-    } else if (code[i] == '}') {
-      --depth;
-      if (depth == 0) {
-        return code.substr(open, i - open + 1);
-      }
-    }
-  }
-  return {};
-}
-
 struct Literal {
   int line = 0;
   std::string text;  // Contents between the quotes, escapes left as written.
@@ -505,89 +479,6 @@ std::string StripComments(const std::string& source) {
   return out;
 }
 
-std::vector<Issue> CheckWireOpCoverage(const std::string& root) {
-  std::vector<Issue> issues;
-  const fs::path protocol_h = fs::path(root) / "src/journal/protocol.h";
-  const std::string header = StripComments(ReadFile(protocol_h));
-  if (header.empty()) {
-    issues.push_back({"src/journal/protocol.h", 0, "wire-op-coverage",
-                      "cannot read the protocol header"});
-    return issues;
-  }
-
-  // Enumerators: identifiers starting with 'k' declared inside the
-  // `enum class RequestType` block.
-  const std::string enum_block = BlockAfter(header, "enum class RequestType");
-  std::vector<std::string> enumerators;
-  for (size_t i = 0; i < enum_block.size(); ++i) {
-    if (enum_block[i] == 'k' && (i == 0 || !IsIdentChar(enum_block[i - 1]))) {
-      size_t end = i;
-      while (end < enum_block.size() && IsIdentChar(enum_block[end])) {
-        ++end;
-      }
-      // Only declarations count: the next non-space char is '=' or ','/'}'.
-      size_t next = end;
-      while (next < enum_block.size() &&
-             std::isspace(static_cast<unsigned char>(enum_block[next])) != 0) {
-        ++next;
-      }
-      if (next < enum_block.size() &&
-          (enum_block[next] == '=' || enum_block[next] == ',' || enum_block[next] == '}')) {
-        enumerators.push_back(enum_block.substr(i, end - i));
-      }
-      i = end;
-    }
-  }
-  if (enumerators.empty()) {
-    issues.push_back({"src/journal/protocol.h", 0, "wire-op-coverage",
-                      "found no RequestType enumerators — enum moved or renamed?"});
-    return issues;
-  }
-
-  struct Surface {
-    const char* file;  // Repo-root-relative.
-    // Tokens that open the definitions; an enumerator may be handled in any
-    // of them (the server splits exclusive write dispatch from the
-    // shared-lock read path).
-    std::vector<const char*> functions;
-    const char* role;
-  };
-  const Surface kSurfaces[] = {
-      {"src/journal/protocol.cc", {"JournalRequest::EncodeTo"}, "encoder"},
-      {"src/journal/protocol.cc", {"JournalRequest::DecodeInto"}, "decoder"},
-      {"src/journal/server.cc",
-       {"JournalServer::Dispatch", "JournalServer::DispatchRead"},
-       "server dispatch"},
-      {"src/journal/protocol.h", {"RequestTypeName"}, "telemetry name table"},
-  };
-  for (const Surface& surface : kSurfaces) {
-    const std::string code = StripComments(ReadFile(fs::path(root) / surface.file));
-    std::string body;
-    std::string names;
-    for (const char* function : surface.functions) {
-      body += BlockAfter(code, function);
-      if (!names.empty()) {
-        names += " / ";
-      }
-      names += function;
-    }
-    if (body.empty()) {
-      issues.push_back({surface.file, 0, "wire-op-coverage",
-                        std::string("cannot find the ") + surface.role + " (" + names +
-                            ") to check against RequestType"});
-      continue;
-    }
-    for (const std::string& enumerator : enumerators) {
-      if (!ContainsToken(body, enumerator)) {
-        issues.push_back({surface.file, 0, "wire-op-coverage",
-                          "RequestType::" + enumerator + " is not handled by the " +
-                              surface.role + " (" + names + ")"});
-      }
-    }
-  }
-  return issues;
-}
-
 std::vector<Issue> CheckMetricNameLiterals(const std::string& root) {
   std::vector<Issue> issues;
   const fs::path src = fs::path(root) / "src";
@@ -646,48 +537,6 @@ std::vector<Issue> CheckUnguardedSchedules(const std::string& root) {
              std::string("raw Schedule() whose callback captures ") +
                  (captures_this ? "`this`" : "everything ([=]/[&])") +
                  "; use ExplorerModule::ScheduleGuarded so the event dies with the run"});
-      }
-    }
-  }
-  return issues;
-}
-
-std::vector<Issue> CheckSpanNameLiterals(const std::string& root) {
-  std::vector<Issue> issues;
-  for (const fs::path& file : SourceFilesUnder(fs::path(root) / "src")) {
-    const std::string rel = Relative(file, root);
-    const std::string code = StripComments(ReadFile(file));
-    size_t pos = 0;
-    while ((pos = FindToken(code, "Span", pos)) != std::string::npos) {
-      const size_t call = pos;
-      pos += 4;  // strlen("Span"); resume after the token either way.
-      size_t open = call + 4;
-      while (open < code.size() && std::isspace(static_cast<unsigned char>(code[open])) != 0) {
-        ++open;
-      }
-      // Construction sites are `Span(...)` temporaries or `Span name(...)`
-      // declarations; allow one declarator identifier before the paren.
-      if (open < code.size() && IsIdentChar(code[open])) {
-        while (open < code.size() && IsIdentChar(code[open])) {
-          ++open;
-        }
-        while (open < code.size() && std::isspace(static_cast<unsigned char>(code[open])) != 0) {
-          ++open;
-        }
-      }
-      if (open >= code.size() || code[open] != '(') {
-        continue;  // A type mention (Span&, SpanContext is boundary-excluded).
-      }
-      // First argument: skip whitespace after '('. A '"' there is a raw span
-      // name literal; constants and runtime strings start with an identifier.
-      size_t arg = open + 1;
-      while (arg < code.size() && std::isspace(static_cast<unsigned char>(code[arg])) != 0) {
-        ++arg;
-      }
-      if (arg < code.size() && code[arg] == '"') {
-        issues.push_back({rel, LineOfOffset(code, call), "span-name-literal",
-                          "raw span name literal at Span construction; register it in "
-                          "src/telemetry/names.h and reference the constant"});
       }
     }
   }
@@ -961,13 +810,9 @@ std::vector<Issue> CheckLockOrder(const std::string& root) {
 }
 
 std::vector<Issue> RunAllRules(const std::string& root) {
-  std::vector<Issue> issues = CheckWireOpCoverage(root);
-  std::vector<Issue> metric = CheckMetricNameLiterals(root);
-  issues.insert(issues.end(), metric.begin(), metric.end());
+  std::vector<Issue> issues = CheckMetricNameLiterals(root);
   std::vector<Issue> schedule = CheckUnguardedSchedules(root);
   issues.insert(issues.end(), schedule.begin(), schedule.end());
-  std::vector<Issue> span = CheckSpanNameLiterals(root);
-  issues.insert(issues.end(), span.begin(), span.end());
   std::vector<Issue> threads = CheckRawThreads(root);
   issues.insert(issues.end(), threads.begin(), threads.end());
   std::vector<Issue> guards = CheckGuardAnnotations(root);

@@ -1,15 +1,11 @@
 // fremont_lint: repo-specific correctness lint.
 //
 // A lightweight line/token scanner over src/ (no compiler dependency) that
-// enforces the contracts Fremont's subsystems share by convention:
-//
-//  1. wire-op-coverage — every RequestType enumerator declared in
-//     src/journal/protocol.h must be handled by the encoder
-//     (JournalRequest::EncodeTo), the decoder (JournalRequest::DecodeInto),
-//     the server dispatch (JournalServer::Dispatch), and the telemetry name
-//     table (RequestTypeName). Catches "added an op, forgot a case" drift
-//     that the compiler cannot (the switches have defaults or live in
-//     different translation units).
+// enforces the contracts Fremont's subsystems share by convention and the
+// compiler cannot check. Rules 1 and 4 moved into the compiler (DESIGN.md
+// §12): RequestType coverage is -Werror=switch / -Werror=switch-enum over
+// exhaustive switches, and a span name is a telemetry::SpanName, which a
+// string literal does not convert to. The remaining rules keep their numbers:
 //
 //  2. metric-name-literal — telemetry instruments must be registered through
 //     the constants in src/telemetry/names.h; a raw "family/name" string
@@ -21,12 +17,6 @@
 //     Schedule() call whose callback captures `this` (or captures
 //     everything with [=]/[&]) outlives Complete() and dangles once the
 //     Discovery Manager destroys the module mid-tick.
-//
-//  4. span-name-literal — spans must be named by the constants in
-//     src/telemetry/names.h (or a runtime string such as a module key); a
-//     raw string literal as the first argument of a Span construction under
-//     src/ is flagged, same rationale as rule 2 — a typo'd span name forks
-//     the trace vocabulary fremont_report and the latency histograms key on.
 //
 //  5. raw-thread — OS threads may only be created inside src/sim/runtime/
 //     (the WorkerPool owns thread lifetime, shutdown, and idle accounting);
@@ -73,8 +63,7 @@ namespace fremont::lint {
 struct Issue {
   std::string file;  // Repo-root-relative path.
   int line = 0;      // 1-based; 0 when the issue is file-level.
-  std::string rule;  // "wire-op-coverage", "metric-name-literal",
-                     // "unguarded-schedule", "span-name-literal", "raw-thread",
+  std::string rule;  // "metric-name-literal", "unguarded-schedule", "raw-thread",
                      // "guard-annotations", "lock-order".
   std::string message;
 
@@ -87,10 +76,8 @@ struct Issue {
 std::string StripComments(const std::string& source);
 
 // Individual rules; `root` is the repo root holding src/.
-std::vector<Issue> CheckWireOpCoverage(const std::string& root);
 std::vector<Issue> CheckMetricNameLiterals(const std::string& root);
 std::vector<Issue> CheckUnguardedSchedules(const std::string& root);
-std::vector<Issue> CheckSpanNameLiterals(const std::string& root);
 std::vector<Issue> CheckRawThreads(const std::string& root);
 std::vector<Issue> CheckGuardAnnotations(const std::string& root);
 std::vector<Issue> CheckLockOrder(const std::string& root);
