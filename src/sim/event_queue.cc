@@ -16,7 +16,16 @@ void EventQueue::ScheduleAt(SimTime when, Action action) {
   if (when < now_) {
     when = now_;
   }
-  queue_.push(Entry{when, next_seq_++, std::move(action)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  queue_.push(Entry{when, next_seq_++, slot});
   const int64_t depth = static_cast<int64_t>(queue_.size());
   if (depth > depth_high_water_) {
     depth_high_water_ = depth;
@@ -37,14 +46,15 @@ bool EventQueue::Step() {
   if (queue_.empty()) {
     return false;
   }
-  // priority_queue::top() returns const&; the action must be moved out before
-  // pop, so copy the entry (the function object move is the expensive part —
-  // use const_cast on the known-unique top element).
-  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+  const Entry entry = queue_.top();
   queue_.pop();
+  // Move the action out before running it: it may schedule events, which can
+  // reuse its slot or grow actions_.
+  Action action = std::move(actions_[entry.slot]);
+  free_slots_.push_back(entry.slot);
   now_ = entry.when;
   ++executed_;
-  entry.action();
+  action();
   return true;
 }
 

@@ -81,10 +81,12 @@ class EventQueue {
   uint64_t executed_count() const { return executed_; }
 
  private:
+  // The heap orders small trivially copyable entries; each names the slot
+  // in actions_ holding its action, so a sift never moves a std::function.
   struct Entry {
     SimTime when;
-    uint64_t seq;  // FIFO tie-break for simultaneous events.
-    Action action;
+    uint64_t seq;   // FIFO tie-break for simultaneous events.
+    uint32_t slot;  // Index into actions_.
   };
   struct EntryLater {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -104,6 +106,10 @@ class EventQueue {
   void FlushTelemetry();
 
   std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
+  // Actions of pending events, by slot; a run event's slot is recycled
+  // through free_slots_.
+  std::vector<Action> actions_;
+  std::vector<uint32_t> free_slots_;
   SimTime now_ = SimTime::Epoch();
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;

@@ -241,24 +241,24 @@ void Host::TransmitFrame(Interface* iface, MacAddress dst, EtherType ethertype,
   iface->segment->Transmit(frame);
 }
 
-void Host::OnFrame(Interface* iface, const EthernetFrame& frame) {
+void Host::OnFrame(Interface* iface, const FrameView& view) {
   if (!up_) {
     return;
   }
-  switch (frame.ethertype) {
+  switch (view.frame().ethertype) {
     case EtherType::kArp: {
-      if (auto arp = ArpPacket::Decode(frame.payload); arp.has_value()) {
+      if (auto arp = ArpPacket::Decode(view.frame().payload); arp.has_value()) {
         HandleArp(iface, *arp);
       }
       break;
     }
     case EtherType::kIpv4: {
-      auto packet = Ipv4Packet::Decode(frame.payload);
-      if (!packet.has_value()) {
+      const Ipv4Packet* packet = view.ipv4();
+      if (packet == nullptr) {
         break;
       }
       if (IsLocalDestination(iface, packet->dst)) {
-        DeliverLocal(iface, *packet);
+        DeliverLocal(iface, view);
       } else {
         ForwardPacket(iface, *packet);
       }
@@ -311,7 +311,8 @@ void Host::HandleArp(Interface* iface, const ArpPacket& arp) {
   }
 }
 
-void Host::DeliverLocal(Interface* iface, const Ipv4Packet& packet) {
+void Host::DeliverLocal(Interface* iface, const FrameView& view) {
+  const Ipv4Packet& packet = *view.ipv4();
   switch (packet.protocol) {
     case IpProtocol::kIcmp: {
       if (auto message = IcmpMessage::Decode(packet.payload); message.has_value()) {
@@ -320,7 +321,9 @@ void Host::DeliverLocal(Interface* iface, const Ipv4Packet& packet) {
       break;
     }
     case IpProtocol::kUdp:
-      HandleUdp(iface, packet);
+      if (const UdpDatagram* datagram = view.udp(); datagram != nullptr) {
+        HandleUdp(iface, packet, *datagram);
+      }
       break;
     default:
       // No TCP services in the simulated campus; protocol unreachable.
@@ -401,27 +404,23 @@ void Host::HandleIcmp(Interface* iface, const Ipv4Packet& packet, const IcmpMess
   }
 }
 
-void Host::HandleUdp(Interface* iface, const Ipv4Packet& packet) {
-  auto datagram = UdpDatagram::Decode(packet.payload);
-  if (!datagram.has_value()) {
-    return;
-  }
+void Host::HandleUdp(Interface* iface, const Ipv4Packet& packet, const UdpDatagram& datagram) {
   // The packet was already accepted as locally destined; anything that is
   // not a broadcast counts as addressed to this host — including host-zero
   // packets, which RFC 1122-era hosts treat as their own (the behaviour
   // Fremont's traceroute exploits).
   const bool addressed_to_us = !IsBroadcastDestination(packet.dst);
 
-  if (auto it = udp_handlers_.find(datagram->dst_port); it != udp_handlers_.end()) {
+  if (auto it = udp_handlers_.find(datagram.dst_port); it != udp_handlers_.end()) {
     // Copy: event-driven Explorer Modules unbind their port from inside the
     // handler the moment the awaited reply arrives.
     UdpHandler handler = it->second;
-    handler(packet, *datagram);
+    handler(packet, datagram);
     return;
   }
 
-  if (datagram->dst_port == kUdpEchoPort && config_.udp_echo_enabled && addressed_to_us) {
-    SendUdp(packet.src, kUdpEchoPort, datagram->src_port, datagram->payload);
+  if (datagram.dst_port == kUdpEchoPort && config_.udp_echo_enabled && addressed_to_us) {
+    SendUdp(packet.src, kUdpEchoPort, datagram.src_port, datagram.payload);
     return;
   }
 

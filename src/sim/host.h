@@ -144,7 +144,7 @@ class Host : public FrameSink {
   uint64_t packets_sent() const { return packets_sent_; }
 
   // --- FrameSink -------------------------------------------------------------
-  void OnFrame(Interface* iface, const EthernetFrame& frame) override;
+  void OnFrame(Interface* iface, const FrameView& view) override;
 
  protected:
   // Routing decision: picks the egress interface and next-hop IP for `dst`.
@@ -170,9 +170,10 @@ class Host : public FrameSink {
   // through this).
   virtual void HandleArp(Interface* iface, const ArpPacket& arp);
 
-  void DeliverLocal(Interface* iface, const Ipv4Packet& packet);
+  // Hands a locally destined packet (view.ipv4()) to its protocol handler.
+  void DeliverLocal(Interface* iface, const FrameView& view);
   virtual void HandleIcmp(Interface* iface, const Ipv4Packet& packet, const IcmpMessage& message);
-  void HandleUdp(Interface* iface, const Ipv4Packet& packet);
+  void HandleUdp(Interface* iface, const Ipv4Packet& packet, const UdpDatagram& datagram);
 
   // Emits an ICMP error carrying the offending packet's header + 8 bytes.
   // `reply_ttl` lets Router model the reflect-TTL firmware bug.

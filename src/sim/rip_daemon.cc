@@ -1,6 +1,10 @@
 #include "src/sim/rip_daemon.h"
 
+#include <algorithm>
+
+#include "src/util/audit.h"
 #include "src/util/logging.h"
+#include "src/util/string_util.h"
 
 namespace fremont {
 
@@ -65,15 +69,20 @@ void RipDaemon::Advertise() {
   }
 }
 
-void RipDaemon::AdvertiseOn(Interface* iface) {
-  RipPacket packet;
-  packet.command = RipCommand::kResponse;
+uint64_t RipDaemon::AdvertisedVersion() const {
+  if (config_.promiscuous_rebroadcast) {
+    return heard_version_;
+  }
+  return router_ != nullptr ? router_->routing_table().version() : 0;
+}
 
+std::vector<ByteBuffer> RipDaemon::EncodeAdvertisement(const Interface* iface) const {
+  std::vector<RipEntry> entries;
   if (config_.promiscuous_rebroadcast) {
     // The fault: everything we ever heard, echoed back onto the wire with an
     // incremented metric, including routes learned from this same subnet.
     for (const auto& [address, metric] : heard_routes_) {
-      packet.entries.push_back(
+      entries.push_back(
           RipEntry{Ipv4Address(address), std::min<uint32_t>(metric + 1, kRipMetricInfinity)});
     }
   } else if (router_ != nullptr) {
@@ -86,42 +95,60 @@ void RipDaemon::AdvertiseOn(Interface* iface) {
       if (route.out_iface == iface) {
         continue;
       }
-      packet.entries.push_back(RipEntry{route.destination.network(), route.metric});
+      entries.push_back(RipEntry{route.destination.network(), route.metric});
     }
   }
 
-  if (packet.entries.empty()) {
-    return;
-  }
-
-  // RFC 1058: at most 25 routes per packet; split large tables. Chunks are
-  // paced a few milliseconds apart (as routed's sendto loop effectively is)
-  // rather than transmitted in one instantaneous burst.
-  int chunk_index = 0;
-  for (size_t begin = 0; begin < packet.entries.size(); begin += RipPacket::kMaxEntries) {
+  // RFC 1058: at most 25 routes per packet; split large tables.
+  std::vector<ByteBuffer> datagrams;
+  for (size_t begin = 0; begin < entries.size(); begin += RipPacket::kMaxEntries) {
     RipPacket chunk;
     chunk.command = RipCommand::kResponse;
-    const size_t end = std::min(begin + RipPacket::kMaxEntries, packet.entries.size());
-    chunk.entries.assign(packet.entries.begin() + begin, packet.entries.begin() + end);
+    const size_t end = std::min(begin + RipPacket::kMaxEntries, entries.size());
+    chunk.entries.assign(entries.begin() + begin, entries.begin() + end);
+    UdpDatagram datagram;
+    datagram.src_port = kRipPort;
+    datagram.dst_port = kRipPort;
+    datagram.payload = chunk.Encode();
+    datagrams.push_back(datagram.Encode());
+  }
+  return datagrams;
+}
 
+void RipDaemon::AdvertiseOn(Interface* iface) {
+  const uint64_t version = AdvertisedVersion();
+  auto cached = std::find_if(advertisements_.begin(), advertisements_.end(),
+                             [iface](const CachedAdvertisement& c) { return c.iface == iface; });
+  if (cached == advertisements_.end()) {
+    advertisements_.push_back(CachedAdvertisement{iface, version, EncodeAdvertisement(iface)});
+    cached = advertisements_.end() - 1;
+  } else if (cached->version != version) {
+    cached->version = version;
+    cached->datagrams = EncodeAdvertisement(iface);
+  } else {
+    FREMONT_AUDIT_CHECK(cached->datagrams == EncodeAdvertisement(iface),
+                        StringPrintf("%s: cached RIP advertisement on %s is stale at version %llu",
+                                     host_->name().c_str(), iface->ip.ToString().c_str(),
+                                     static_cast<unsigned long long>(version)));
+  }
+
+  // Chunks are paced a few milliseconds apart (as routed's sendto loop
+  // effectively is) rather than transmitted in one instantaneous burst. The
+  // IP header is built per send: each gets its own identification.
+  for (size_t i = 0; i < cached->datagrams.size(); ++i) {
     Ipv4Packet out;
     out.protocol = IpProtocol::kUdp;
     out.ttl = 1;  // RIP never crosses a gateway.
     out.src = iface->ip;
     out.dst = iface->AttachedSubnet().BroadcastAddress();
-    UdpDatagram datagram;
-    datagram.src_port = kRipPort;
-    datagram.dst_port = kRipPort;
-    datagram.payload = chunk.Encode();
-    out.payload = datagram.Encode();
-    if (chunk_index == 0) {
+    out.payload = cached->datagrams[i];
+    if (i == 0) {
       host_->SendIpPacket(std::move(out));
     } else {
       Host* host = host_;
-      host_->events()->Schedule(Duration::Millis(3 * chunk_index),
+      host_->events()->Schedule(Duration::Millis(3 * static_cast<int64_t>(i)),
                                 [host, out]() { host->SendIpPacket(out); });
     }
-    ++chunk_index;
     ++advertisements_sent_;
   }
 }
@@ -199,6 +226,7 @@ void RipDaemon::OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagra
       auto it = heard_routes_.find(entry.address.value());
       if (it == heard_routes_.end() || entry.metric < it->second) {
         heard_routes_[entry.address.value()] = entry.metric;
+        ++heard_version_;
       }
       continue;
     }

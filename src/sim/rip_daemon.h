@@ -21,6 +21,7 @@
 #include "src/net/rip.h"
 #include "src/sim/host.h"
 #include "src/sim/router.h"
+#include "src/util/bytes.h"
 
 namespace fremont {
 
@@ -51,6 +52,12 @@ class RipDaemon {
   void OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagram);
   void Advertise();
   void AdvertiseOn(Interface* iface);
+  // What AdvertiseOn would put on `iface`'s wire now: one encoded UDP
+  // datagram per RIP packet of at most 25 routes.
+  std::vector<ByteBuffer> EncodeAdvertisement(const Interface* iface) const;
+  // Stamp of the state an advertisement is built from: the routing table's
+  // version, or in promiscuous mode the heard_routes_ version.
+  uint64_t AdvertisedVersion() const;
   // RIPv1 mask inference for a learned address, relative to the receiving
   // interface (no masks on the wire).
   Subnet InferSubnet(Ipv4Address advertised, Interface* iface) const;
@@ -71,6 +78,16 @@ class RipDaemon {
 
   // Promiscuous mode: everything heard, keyed by address, value = metric.
   std::map<uint32_t, uint32_t> heard_routes_;
+  uint64_t heard_version_ = 0;  // Bumped on every heard_routes_ change.
+
+  // Each interface's last encoded advertisement and the stamp it was built
+  // at; re-encoded only when AdvertisedVersion() moves.
+  struct CachedAdvertisement {
+    const Interface* iface = nullptr;
+    uint64_t version = 0;
+    std::vector<ByteBuffer> datagrams;
+  };
+  std::vector<CachedAdvertisement> advertisements_;
 };
 
 }  // namespace fremont

@@ -7,6 +7,24 @@
 
 namespace fremont {
 
+const Ipv4Packet* FrameView::ipv4() const {
+  if (!ipv4_.has_value()) {
+    ipv4_.emplace(frame_.ethertype == EtherType::kIpv4 ? Ipv4Packet::Decode(frame_.payload)
+                                                       : std::nullopt);
+  }
+  return ipv4_->has_value() ? &**ipv4_ : nullptr;
+}
+
+const UdpDatagram* FrameView::udp() const {
+  if (!udp_.has_value()) {
+    const Ipv4Packet* packet = ipv4();
+    udp_.emplace(packet != nullptr && packet->protocol == IpProtocol::kUdp
+                     ? UdpDatagram::Decode(packet->payload)
+                     : std::nullopt);
+  }
+  return udp_->has_value() ? &**udp_ : nullptr;
+}
+
 Segment::Segment(std::string name, Subnet subnet, SegmentParams params, EventQueue* events,
                  Rng* rng)
     : name_(std::move(name)), subnet_(subnet), params_(params), events_(events), rng_(rng) {}
@@ -78,36 +96,38 @@ void Segment::TransmitLocal(const EthernetFrame& frame) {
       (void)token;
       tap(frame, events_->Now());
     }
+    const FrameView view(frame);
     if (frame.dst.IsBroadcast() || frame.dst.IsMulticast()) {
       // Deliver to every up interface except the sender's own.
       for (Interface* iface : interfaces_) {
         if (iface->mac != frame.src) {
-          DeliverTo(iface, frame);
+          DeliverTo(iface, view);
         }
       }
     } else {
       auto it = by_mac_.find(frame.dst);
       if (it != by_mac_.end()) {
-        DeliverTo(it->second, frame);
+        DeliverTo(it->second, view);
       }
     }
   });
 }
 
-void Segment::DeliverTo(Interface* iface, const EthernetFrame& frame) {
+void Segment::DeliverTo(Interface* iface, const FrameView& view) {
   if (runtime_ != nullptr && iface->owner_shard != shard_) {
     // Receiver lives on another shard: the frame crosses at the next window
-    // barrier, stamped with this segment's delivery time. The up check moves
-    // with it so the receiver's own shard decides.
-    runtime_->Post(iface->owner_shard, events_->Now(), [iface, frame]() {
+    // barrier, stamped with this segment's delivery time, and is decoded
+    // there into a view of its own. The up check moves with it so the
+    // receiver's own shard decides.
+    runtime_->Post(iface->owner_shard, events_->Now(), [iface, frame = view.frame()]() {
       if (iface->up) {
-        iface->owner->OnFrame(iface, frame);
+        iface->owner->OnFrame(iface, FrameView(frame));
       }
     });
     return;
   }
   if (iface->up) {
-    iface->owner->OnFrame(iface, frame);
+    iface->owner->OnFrame(iface, view);
   }
 }
 

@@ -17,13 +17,16 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/net/ethernet.h"
+#include "src/net/ipv4.h"
 #include "src/net/ipv4_address.h"
 #include "src/net/mac_address.h"
+#include "src/net/udp.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
 
@@ -32,12 +35,38 @@ namespace fremont {
 class Segment;
 class ShardedEventQueue;
 
+// One delivery of a frame as its receivers see it: the Ethernet frame plus
+// its IPv4 packet and UDP datagram, each decoded at most once however many
+// receivers ask, so a broadcast is parsed once rather than once per station.
+// A view lives for one delivery event on the delivering shard; a receiver on
+// another shard gets its own view built there, so no view crosses threads.
+class FrameView {
+ public:
+  explicit FrameView(const EthernetFrame& frame) : frame_(frame) {}
+  FrameView(const FrameView&) = delete;
+  FrameView& operator=(const FrameView&) = delete;
+
+  const EthernetFrame& frame() const { return frame_; }
+  // The carried IPv4 packet; null unless the frame is IPv4 and the packet
+  // decodes (header checksum included).
+  const Ipv4Packet* ipv4() const;
+  // The UDP datagram inside ipv4(); null unless that packet is UDP and the
+  // datagram decodes.
+  const UdpDatagram* udp() const;
+
+ private:
+  const EthernetFrame& frame_;
+  // Outer optional: decoded yet? Inner: the decode's result.
+  mutable std::optional<std::optional<Ipv4Packet>> ipv4_;
+  mutable std::optional<std::optional<UdpDatagram>> udp_;
+};
+
 // Receiver half of a node: interfaces hand arriving frames to their owner
 // through this interface. Host implements it.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
-  virtual void OnFrame(struct Interface* iface, const EthernetFrame& frame) = 0;
+  virtual void OnFrame(struct Interface* iface, const FrameView& view) = 0;
 };
 
 // One network attachment point ("interface" in the paper's terminology: a
@@ -123,8 +152,8 @@ class Segment {
   // The single-shard transmit path: collision model + delivery scheduling.
   // Must execute on this segment's shard.
   void TransmitLocal(const EthernetFrame& frame);
-  // Hands `frame` to one receiver, hopping shards if the owner is remote.
-  void DeliverTo(Interface* iface, const EthernetFrame& frame);
+  // Hands the frame to one receiver, hopping shards if the owner is remote.
+  void DeliverTo(Interface* iface, const FrameView& view);
 
   std::string name_;
   Subnet subnet_;

@@ -194,6 +194,62 @@ TEST_F(HostTest, BroadcastUdpNeverTriggersUnreachable) {
   EXPECT_FALSE(any_icmp);
 }
 
+TEST_F(HostTest, CorruptBroadcastReachesNoHandlerValidOneReachesEvery) {
+  Host* carol = sim_.CreateHost("carol");
+  carol->AttachTo(segment_, Ipv4Address(10, 0, 0, 3), subnet_.mask(),
+                  MacAddress(2, 0, 0, 0, 0, 3));
+  Host* dave = sim_.CreateHost("dave");
+  dave->AttachTo(segment_, Ipv4Address(10, 0, 0, 4), subnet_.mask(),
+                 MacAddress(2, 0, 0, 0, 0, 4));
+  struct Heard {
+    Ipv4Address src;
+    uint16_t src_port;
+    ByteBuffer payload;
+  };
+  std::vector<std::vector<Heard>> heard(3);
+  const std::vector<Host*> receivers = {bob_, carol, dave};
+  for (size_t i = 0; i < receivers.size(); ++i) {
+    receivers[i]->BindUdp(5000, [&heard, i](const Ipv4Packet& packet,
+                                            const UdpDatagram& datagram) {
+      heard[i].push_back({packet.src, datagram.src_port, datagram.payload});
+    });
+  }
+
+  Ipv4Packet packet;
+  packet.identification = 77;
+  packet.protocol = IpProtocol::kUdp;
+  packet.src = alice_->primary_interface()->ip;
+  packet.dst = subnet_.BroadcastAddress();
+  UdpDatagram datagram;
+  datagram.src_port = 4001;
+  datagram.dst_port = 5000;
+  datagram.payload = {7, 8, 9};
+  packet.payload = datagram.Encode();
+  EthernetFrame frame;
+  frame.dst = MacAddress::Broadcast();
+  frame.src = alice_->primary_interface()->mac;
+  frame.ethertype = EtherType::kIpv4;
+  frame.payload = packet.Encode();
+
+  // A corrupted header checksum: every receiver drops the packet.
+  EthernetFrame corrupted = frame;
+  corrupted.payload[10] ^= 0x01;
+  segment_->Transmit(corrupted);
+  sim_.events().RunUntilIdle();
+  for (const auto& one : heard) {
+    EXPECT_TRUE(one.empty());
+  }
+
+  segment_->Transmit(frame);
+  sim_.events().RunUntilIdle();
+  for (const auto& one : heard) {
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].src, alice_->primary_interface()->ip);
+    EXPECT_EQ(one[0].src_port, 4001);
+    EXPECT_EQ(one[0].payload, (ByteBuffer{7, 8, 9}));
+  }
+}
+
 TEST_F(HostTest, HostZeroAccepted) {
   bool unreachable = false;
   alice_->SetIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {

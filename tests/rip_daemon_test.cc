@@ -212,6 +212,65 @@ TEST_F(RipDaemonTest, PromiscuousHostEchoesEverything) {
   EXPECT_TRUE(chatty_advertised);
 }
 
+TEST_F(RipDaemonTest, AdvertisementFollowsTableChanges) {
+  // The daemon itself never expires anything here: the test makes each
+  // table change directly and checks the advertisement that follows it.
+  RipDaemonConfig config;
+  config.route_max_age = Duration::Hours(1);
+  RipDaemon d1(r1_, r1_, config);
+  d1.Start();
+  RipSniffer sniffer(lan_a_);
+  RoutingTable& table = r1_->routing_table();
+  const Ipv4Address gw2(10, 0, 0, 2);
+  const Ipv4Address gw3(10, 0, 0, 3);
+
+  using Routes = std::vector<std::pair<Ipv4Address, uint32_t>>;
+  // What lan_a should hear: the live table minus split horizon, in order.
+  auto live = [&]() {
+    Routes routes;
+    for (const RouteEntry& route : table.entries()) {
+      if (route.metric < kRipMetricInfinity && route.out_iface != r1_a_) {
+        routes.emplace_back(route.destination.network(), route.metric);
+      }
+    }
+    return routes;
+  };
+  // Runs one advertisement period and returns the one advertisement heard.
+  auto next_heard = [&]() {
+    sniffer.packets.clear();
+    sim_.RunFor(Duration::Seconds(30));
+    Routes routes;
+    EXPECT_EQ(sniffer.packets.size(), 1u);
+    if (!sniffer.packets.empty()) {
+      for (const RipEntry& entry : sniffer.packets.back().second.entries) {
+        routes.emplace_back(entry.address, entry.metric);
+      }
+    }
+    return routes;
+  };
+
+  table.Learn(Net("10.0.6.0/24"), gw2, r1_bb_, 3, sim_.Now());
+  sim_.RunFor(Duration::Seconds(40));
+  table.Learn(Net("10.0.5.0/24"), gw2, r1_bb_, 2, sim_.Now());
+  EXPECT_EQ(next_heard(), (Routes{{Ipv4Address(10, 0, 0, 0), 1},
+                                  {Ipv4Address(10, 0, 6, 0), 3},
+                                  {Ipv4Address(10, 0, 5, 0), 2}}));
+  EXPECT_EQ(next_heard(), live()) << "unchanged table";
+
+  table.Learn(Net("10.0.5.0/24"), gw2, r1_bb_, 4, sim_.Now());
+  EXPECT_EQ(next_heard(), live()) << "same-gateway metric change";
+
+  // 10.0.6.0 was learned 130 s ago; 10.0.5.0 was refreshed 30 s ago.
+  ASSERT_EQ(table.ExpireStale(sim_.Now(), Duration::Seconds(60)), 1);
+  EXPECT_EQ(next_heard(), live()) << "expiry";
+
+  table.Learn(Net("10.0.7.0/24"), gw3, r1_bb_, 5, sim_.Now());
+  EXPECT_EQ(next_heard(), live()) << "new route";
+  EXPECT_EQ(live(), (Routes{{Ipv4Address(10, 0, 0, 0), 1},
+                            {Ipv4Address(10, 0, 5, 0), 4},
+                            {Ipv4Address(10, 0, 7, 0), 5}}));
+}
+
 TEST_F(RipDaemonTest, StopSilencesDaemon) {
   RipDaemon d1(r1_, r1_, {});
   d1.Start();

@@ -12,8 +12,8 @@ namespace {
 
 class RecordingSink : public FrameSink {
  public:
-  void OnFrame(Interface* iface, const EthernetFrame& frame) override {
-    received.push_back({iface, frame});
+  void OnFrame(Interface* iface, const FrameView& view) override {
+    received.push_back({iface, view.frame()});
   }
   struct Received {
     Interface* iface;
