@@ -2,58 +2,33 @@
 
 #include <set>
 
-#include "src/util/logging.h"
-
 namespace fremont {
 
 ArpWatch::ArpWatch(Host* vantage, JournalClient* journal, ArpWatchParams params)
-    : ExplorerModule("arpwatch", "ARPwatch", vantage->events(), journal),
-      vantage_(vantage),
-      params_(params),
-      writer_(journal, [this]() { return vantage_->Now(); }) {}
-
-ArpWatch::~ArpWatch() { StopCapture(); }
+    : ExplorerModule("arpwatch", "ARPwatch", vantage, journal), params_(params) {}
 
 bool ArpWatch::StartCapture() {
-  if (tap_token_ >= 0) {
+  if (tapping()) {
     return true;
   }
-  Interface* iface = vantage_->primary_interface();
-  if (iface == nullptr || iface->segment == nullptr) {
-    FLOG(kError) << "arpwatch: vantage host has no attached segment";
+  if (!Tap([this](const EthernetFrame& frame, SimTime now) { OnFrame(frame, now); })) {
     return false;
   }
-  segment_ = iface->segment;
-  capture_started_ = vantage_->Now();
-  tap_token_ = segment_->AddTap(
-      [this](const EthernetFrame& frame, SimTime now) { OnFrame(frame, now); });
+  capture_started_ = vantage().Now();
   return true;
 }
 
 void ArpWatch::StopCapture() {
-  if (tap_token_ >= 0 && segment_ != nullptr) {
-    segment_->RemoveTap(tap_token_);
-  }
-  tap_token_ = -1;
-  writer_.Flush();
+  Untap();
+  writer().Flush();
 }
 
 void ArpWatch::StartImpl() {
   if (!StartCapture()) {
-    FillReport();
     Complete();
     return;
   }
-  ScheduleGuarded(params_.watch, [this]() {
-    StopCapture();
-    FillReport();
-    Complete();
-  });
-}
-
-void ArpWatch::CancelImpl() {
-  StopCapture();
-  FillReport();
+  ScheduleGuarded(params_.watch, [this]() { Complete(); });
 }
 
 void ArpWatch::OnFrame(const EthernetFrame& frame, SimTime now) {
@@ -78,10 +53,11 @@ void ArpWatch::Observe(MacAddress mac, Ipv4Address ip, SimTime now) {
     return;
   }
   seen_[key] = now;
+  mutable_report().discovered = unique_pairs_seen();
   InterfaceObservation obs;
   obs.ip = ip;
   obs.mac = mac;
-  writer_.StoreInterface(obs, DiscoverySource::kArpWatch);
+  writer().StoreInterface(obs, DiscoverySource::kArpWatch);
 }
 
 int ArpWatch::unique_ips_seen() const {
@@ -104,23 +80,10 @@ int ArpWatch::unique_ips_in(const Subnet& subnet) const {
   return static_cast<int>(ips.size());
 }
 
-void ArpWatch::FillReport() {
-  ExplorerReport& report = mutable_report();
-  report.packets_sent = 0;  // Passive: generates no traffic.
-  report.discovered = unique_pairs_seen();
-  report.records_written = writer_.totals().records_written;
-  report.new_info = writer_.totals().new_info;
-}
-
 ExplorerReport ArpWatch::report() const {
-  ExplorerReport report;
-  report.module = "ARPwatch";
+  ExplorerReport report = CurrentReport();
   report.started = capture_started_;
-  report.finished = vantage_->Now();
-  report.packets_sent = 0;  // Passive: generates no traffic.
-  report.discovered = unique_pairs_seen();
-  report.records_written = writer_.totals().records_written;
-  report.new_info = writer_.totals().new_info;
+  report.finished = vantage().Now();
   return report;
 }
 

@@ -14,9 +14,7 @@
 #include <utility>
 
 #include "src/explorer/explorer.h"
-#include "src/journal/batch_writer.h"
 #include "src/net/arp.h"
-#include "src/sim/segment.h"
 
 namespace fremont {
 
@@ -31,12 +29,13 @@ struct ArpWatchParams {
 class ArpWatch : public ExplorerModule {
  public:
   ArpWatch(Host* vantage, JournalClient* journal, ArpWatchParams params = {});
-  ~ArpWatch() override;
 
   // Attaches the tap. Requires "system privileges" in the original; here it
   // requires the vantage host to have an attached segment. Callers that want
   // an open-ended capture (no `watch` deadline) may drive these directly
-  // instead of Start()/Run().
+  // instead of Start()/Run(). Bindings queue in the module's writer, each
+  // stamped with the frame time it was observed at; StopCapture() flushes,
+  // so report() totals are final once the tap is detached.
   bool StartCapture();
   void StopCapture();
 
@@ -50,23 +49,14 @@ class ArpWatch : public ExplorerModule {
   ExplorerReport report() const;
 
  protected:
-  // Managed lifecycle: attach the tap, detach `watch` later, report.
+  // Managed lifecycle: attach the tap, report `watch` later.
   void StartImpl() override;
-  void CancelImpl() override;
 
  private:
   void OnFrame(const EthernetFrame& frame, SimTime now);
   void Observe(MacAddress mac, Ipv4Address ip, SimTime now);
-  void FillReport();
 
-  Host* vantage_;
   ArpWatchParams params_;
-  // Long-running passive watcher: bindings queue here and ship in batches,
-  // each stamped with the frame time it was observed at. StopCapture()
-  // flushes, so report() totals are final once the tap is detached.
-  JournalBatchWriter writer_;
-  Segment* segment_ = nullptr;
-  int tap_token_ = -1;
   SimTime capture_started_;
   std::map<std::pair<uint64_t, uint32_t>, SimTime> seen_;  // (mac, ip) → last write.
 };

@@ -1,28 +1,15 @@
 #include "src/explorer/broadcast_ping.h"
 
-#include "src/journal/batch_writer.h"
-#include "src/telemetry/trace.h"
-
 namespace fremont {
 namespace {
 constexpr uint16_t kBroadcastPingIdent = 0x4250;
 }
 
 BroadcastPing::BroadcastPing(Host* vantage, JournalClient* journal, BroadcastPingParams params)
-    : ExplorerModule("broadcastping", "BrdcastPing", vantage->events(), journal),
-      vantage_(vantage),
-      params_(params) {}
-
-BroadcastPing::~BroadcastPing() {
-  // Destroyed mid-run (no Cancel): detach quietly, write nothing.
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-}
+    : ExplorerModule("broadcastping", "BrdcastPing", vantage, journal), params_(params) {}
 
 void BroadcastPing::StartImpl() {
-  Interface* iface = vantage_->primary_interface();
+  Interface* iface = vantage().primary_interface();
   if (iface == nullptr) {
     Complete();
     return;
@@ -31,16 +18,13 @@ void BroadcastPing::StartImpl() {
   const bool local = iface->AttachedSubnet() == target;
   const Ipv4Address broadcast = target.BroadcastAddress();
 
-  icmp_token_ = vantage_->AddIcmpListener(
-      [this, target](const Ipv4Packet& packet, const IcmpMessage& message) {
-        if (message.type == IcmpType::kEchoReply && message.identifier == kBroadcastPingIdent &&
-            target.Contains(packet.src)) {
-          replied_.insert(packet.src.value());
-          ++mutable_report().replies_received;
-        }
-      });
-
-  sent_before_ = vantage_->packets_sent();
+  ListenIcmp([this, target](const Ipv4Packet& packet, const IcmpMessage& message) {
+    if (message.type == IcmpType::kEchoReply && message.identifier == kBroadcastPingIdent &&
+        target.Contains(packet.src)) {
+      replied_.insert(packet.src.value());
+      ++mutable_report().replies_received;
+    }
+  });
 
   // Minimal TTL: 1 on the attached subnet; towards a remote subnet, ramp up
   // one hop at a time so a looping broadcast dies quickly.
@@ -48,49 +32,36 @@ void BroadcastPing::StartImpl() {
   for (int ping = 0; ping < params_.pings; ++ping) {
     if (local) {
       ScheduleGuarded(params_.spacing * ping, [this, broadcast, seq]() {
-        vantage_->SendIcmp(broadcast, IcmpMessage::EchoRequest(kBroadcastPingIdent, seq), 1);
+        SendIcmp(broadcast, IcmpMessage::EchoRequest(kBroadcastPingIdent, seq), 1);
       });
       ++seq;
     } else {
       for (int ttl = 2; ttl <= params_.max_ttl; ++ttl) {
         ScheduleGuarded(params_.spacing * ping + Duration::Seconds(ttl - 2),
                         [this, broadcast, seq, ttl]() {
-                          vantage_->SendIcmp(broadcast,
-                                             IcmpMessage::EchoRequest(kBroadcastPingIdent, seq),
-                                             static_cast<uint8_t>(ttl));
+                          SendIcmp(broadcast, IcmpMessage::EchoRequest(kBroadcastPingIdent, seq),
+                                   static_cast<uint8_t>(ttl));
                         });
         ++seq;
       }
     }
   }
   ScheduleGuarded(params_.spacing * params_.pings + params_.collect, [this]() {
-    Teardown();
+    Finish();
     Complete();
   });
 }
 
-void BroadcastPing::Teardown() {
-  if (icmp_token_ < 0) {
-    return;
-  }
-  vantage_->RemoveIcmpListener(icmp_token_);
-  icmp_token_ = -1;
-
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
+void BroadcastPing::Finish() {
   for (uint32_t v : replied_) {
     InterfaceObservation obs;
     obs.ip = Ipv4Address(v);
-    writer.StoreInterface(obs, DiscoverySource::kBroadcastPing);
+    writer().StoreInterface(obs, DiscoverySource::kBroadcastPing);
     responders_.push_back(obs.ip);
   }
-  writer.Flush();
-  ExplorerReport& report = mutable_report();
-  report.records_written = writer.totals().records_written;
-  report.new_info = writer.totals().new_info;
-  report.discovered = static_cast<int>(replied_.size());
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
+  mutable_report().discovered = static_cast<int>(replied_.size());
 }
 
-void BroadcastPing::CancelImpl() { Teardown(); }
+void BroadcastPing::CancelImpl() { Finish(); }
 
 }  // namespace fremont

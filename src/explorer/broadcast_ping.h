@@ -35,7 +35,6 @@ struct BroadcastPingParams {
 class BroadcastPing : public ExplorerModule {
  public:
   BroadcastPing(Host* vantage, JournalClient* journal, BroadcastPingParams params = {});
-  ~BroadcastPing() override;
 
   const std::vector<Ipv4Address>& responders() const { return responders_; }
 
@@ -44,14 +43,11 @@ class BroadcastPing : public ExplorerModule {
   void CancelImpl() override;
 
  private:
-  void Teardown();
+  void Finish();
 
-  Host* vantage_;
   BroadcastPingParams params_;
   std::set<uint32_t> replied_;
   std::vector<Ipv4Address> responders_;
-  uint64_t sent_before_ = 0;
-  int icmp_token_ = -1;
 };
 
 }  // namespace fremont

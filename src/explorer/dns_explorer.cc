@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/journal/batch_writer.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
 #include "src/util/logging.h"
@@ -15,26 +14,9 @@ constexpr uint16_t kMaskIdent = 0x444d;
 }  // namespace
 
 DnsExplorer::DnsExplorer(Host* vantage, JournalClient* journal, DnsExplorerParams params)
-    : ExplorerModule("dns", "DNS", vantage->events(), journal),
-      vantage_(vantage),
-      params_(std::move(params)) {}
+    : ExplorerModule("dns", "DNS", vantage, journal), params_(std::move(params)) {}
 
-DnsExplorer::~DnsExplorer() {
-  vantage_->UnbindUdp(kDnsClientPort);
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-}
-
-void DnsExplorer::CancelImpl() {
-  vantage_->UnbindUdp(kDnsClientPort);
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-  FinishReport();
-}
+void DnsExplorer::CancelImpl() { FinishReport(); }
 
 void DnsExplorer::StartQuery(const std::string& name, DnsType qtype,
                              std::function<void(std::optional<DnsMessage>)> then) {
@@ -52,25 +34,24 @@ void DnsExplorer::StartQuery(const std::string& name, DnsType qtype,
       return;
     }
     *settled = true;
-    vantage_->UnbindUdp(kDnsClientPort);
+    UnbindUdp(kDnsClientPort);
     if (answer->has_value()) {
-      ++replies_;
+      ++mutable_report().replies_received;
     } else {
       telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kDnsTimeouts)->Increment();
     }
     // Pace the next query.
     ScheduleGuarded(params_.query_spacing, [answer, then]() { then(*answer); });
   };
-  vantage_->BindUdp(kDnsClientPort, [answer, want_id, settle](const Ipv4Packet&,
-                                                              const UdpDatagram& datagram) {
+  BindUdp(kDnsClientPort, [answer, want_id, settle](const Ipv4Packet&,
+                                                    const UdpDatagram& datagram) {
     auto response = DnsMessage::Decode(datagram.payload);
     if (response.has_value() && response->is_response && response->id == want_id) {
       *answer = std::move(response);
       settle();
     }
   });
-  vantage_->SendUdp(params_.server, kDnsClientPort, kDnsPort, query.Encode());
-  ++queries_sent_;
+  SendUdp(params_.server, kDnsClientPort, kDnsPort, query.Encode());
   ScheduleGuarded(params_.query_timeout, [settle]() { settle(); });
 }
 
@@ -91,14 +72,14 @@ void DnsExplorer::StartZoneTransfer(const std::string& zone,
       return;
     }
     *settled = true;
-    vantage_->UnbindUdp(kDnsClientPort);
+    UnbindUdp(kDnsClientPort);
     if (*soas_seen > 0) {
-      ++replies_;
+      ++mutable_report().replies_received;
     }
     ScheduleGuarded(params_.query_spacing, [records, then]() { then(std::move(*records)); });
   };
-  vantage_->BindUdp(kDnsClientPort, [records, soas_seen, want_id, settle](
-                                        const Ipv4Packet&, const UdpDatagram& datagram) {
+  BindUdp(kDnsClientPort, [records, soas_seen, want_id, settle](const Ipv4Packet&,
+                                                                const UdpDatagram& datagram) {
     auto response = DnsMessage::Decode(datagram.payload);
     if (!response.has_value() || !response->is_response || response->id != want_id) {
       return;
@@ -114,8 +95,7 @@ void DnsExplorer::StartZoneTransfer(const std::string& zone,
       settle();
     }
   });
-  vantage_->SendUdp(params_.server, kDnsClientPort, kDnsPort, query.Encode());
-  ++queries_sent_;
+  SendUdp(params_.server, kDnsClientPort, kDnsPort, query.Encode());
   ScheduleGuarded(params_.query_timeout, [settle]() { settle(); });
 }
 
@@ -123,19 +103,17 @@ void DnsExplorer::StartMaskRequest(Ipv4Address target,
                                    std::function<void(std::optional<SubnetMask>)> then) {
   auto result = std::make_shared<std::optional<SubnetMask>>();
   auto settled = std::make_shared<bool>(false);
-  auto settle = [this, result, settled, then = std::move(then)]() {
+  auto listener = std::make_shared<int>(-1);
+  auto settle = [this, result, settled, listener, then = std::move(then)]() {
     if (*settled) {
       return;
     }
     *settled = true;
-    if (icmp_token_ >= 0) {
-      vantage_->RemoveIcmpListener(icmp_token_);
-      icmp_token_ = -1;
-    }
+    Unlisten(*listener);
     // Mask requests are not paced (they are one-offs between query phases).
     then(*result);
   };
-  icmp_token_ = vantage_->AddIcmpListener(
+  *listener = ListenIcmp(
       [result, target, settle](const Ipv4Packet& packet, const IcmpMessage& message) {
         if (message.type == IcmpType::kMaskReply && message.identifier == kMaskIdent &&
             packet.src == target) {
@@ -143,7 +121,7 @@ void DnsExplorer::StartMaskRequest(Ipv4Address target,
           settle();
         }
       });
-  vantage_->SendIcmp(target, IcmpMessage::MaskRequest(kMaskIdent, 0));
+  SendIcmp(target, IcmpMessage::MaskRequest(kMaskIdent, 0));
   ScheduleGuarded(params_.query_timeout, [settle]() { settle(); });
 }
 
@@ -183,8 +161,6 @@ bool DnsExplorer::MatchesGatewayConvention(const std::string& name) const {
 }
 
 void DnsExplorer::StartImpl() {
-  sent_before_ = vantage_->packets_sent();
-
   // Phase 1a: reverse zone transfer for the network. The zone depth follows
   // the network's class: a.in-addr.arpa for class A, b.a for class B, c.b.a
   // for class C.
@@ -302,7 +278,6 @@ void DnsExplorer::NextForwardLookup(size_t index) {
 
 // Phase 2: CPU-bound analysis — gateway inference and subnet statistics.
 void DnsExplorer::Analyze() {
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
   std::set<std::string> gateway_names;
   for (const auto& [name, ips] : name_to_ips_) {
     if (ips.size() >= 2 || MatchesGatewayConvention(name)) {
@@ -336,7 +311,7 @@ void DnsExplorer::Analyze() {
       gw.connected_subnets.push_back(subnet);
       gateway_subnets_.insert(subnet.network().value());
     }
-    writer.StoreGateway(gw, DiscoverySource::kDns);
+    writer().StoreGateway(gw, DiscoverySource::kDns);
     ++gateways_found_;
     // Gateway member interfaces get their names recorded (the exception to
     // the don't-record-plain-DNS-data rule).
@@ -345,7 +320,7 @@ void DnsExplorer::Analyze() {
       obs.ip = ip;
       obs.dns_name = name;
       obs.mask = mask_;
-      writer.StoreInterface(obs, DiscoverySource::kDns);
+      writer().StoreInterface(obs, DiscoverySource::kDns);
     }
   }
 
@@ -363,7 +338,7 @@ void DnsExplorer::Analyze() {
     obs.host_count = static_cast<int32_t>(ips.size());
     obs.lowest_assigned = Ipv4Address(*std::min_element(ips.begin(), ips.end()));
     obs.highest_assigned = Ipv4Address(*std::max_element(ips.begin(), ips.end()));
-    writer.StoreSubnet(obs, DiscoverySource::kDns);
+    writer().StoreSubnet(obs, DiscoverySource::kDns);
   }
 
   if (params_.record_plain_hosts) {
@@ -374,23 +349,13 @@ void DnsExplorer::Analyze() {
         obs.dns_name = names.front();
       }
       obs.mask = mask_;
-      writer.StoreInterface(obs, DiscoverySource::kDns);
+      writer().StoreInterface(obs, DiscoverySource::kDns);
     }
   }
-  writer.Flush();
-  ExplorerReport& report = mutable_report();
-  report.records_written = writer.totals().records_written;
-  report.new_info = writer.totals().new_info;
-
   FinishReport();
   Complete();
 }
 
-void DnsExplorer::FinishReport() {
-  ExplorerReport& report = mutable_report();
-  report.discovered = interfaces_found();
-  report.replies_received = replies_;
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
-}
+void DnsExplorer::FinishReport() { mutable_report().discovered = interfaces_found(); }
 
 }  // namespace fremont

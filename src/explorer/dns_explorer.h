@@ -50,7 +50,6 @@ struct DnsExplorerParams {
 class DnsExplorer : public ExplorerModule {
  public:
   DnsExplorer(Host* vantage, JournalClient* journal, DnsExplorerParams params = {});
-  ~DnsExplorer() override;
 
   // Distinct addresses found in the zone (Table 5's DNS row).
   int interfaces_found() const { return static_cast<int>(ip_to_names_.size()); }
@@ -95,10 +94,7 @@ class DnsExplorer : public ExplorerModule {
 
   bool MatchesGatewayConvention(const std::string& name) const;
 
-  Host* vantage_;
   DnsExplorerParams params_;
-  uint64_t sent_before_ = 0;
-  int icmp_token_ = -1;
   std::vector<Ipv4Address> mask_candidates_;
   std::vector<std::string> lookup_names_;
 
@@ -110,8 +106,6 @@ class DnsExplorer : public ExplorerModule {
   int gateways_found_ = 0;
   SubnetMask mask_ = SubnetMask::FromPrefixLength(24);
   uint16_t next_query_id_ = 1;
-  uint64_t queries_sent_ = 0;
-  uint64_t replies_ = 0;
 };
 
 }  // namespace fremont

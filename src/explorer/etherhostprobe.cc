@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "src/journal/batch_writer.h"
 #include "src/net/udp.h"
 #include "src/telemetry/trace.h"
 #include "src/util/logging.h"
@@ -11,12 +10,10 @@ namespace fremont {
 
 EtherHostProbe::EtherHostProbe(Host* vantage, JournalClient* journal,
                                EtherHostProbeParams params)
-    : ExplorerModule("etherhostprobe", "EtherHostProbe", vantage->events(), journal),
-      vantage_(vantage),
-      params_(params) {}
+    : ExplorerModule("etherhostprobe", "EtherHostProbe", vantage, journal), params_(params) {}
 
 void EtherHostProbe::StartImpl() {
-  Interface* iface = vantage_->primary_interface();
+  Interface* iface = vantage().primary_interface();
   if (iface == nullptr || iface->segment == nullptr) {
     FLOG(kError) << "etherhostprobe: vantage host has no attached segment";
     Complete();
@@ -30,7 +27,6 @@ void EtherHostProbe::StartImpl() {
     std::swap(first_, last_);
   }
 
-  sent_before_ = vantage_->packets_sent();
   const Duration spacing = Duration::SecondsF(1.0 / params_.packets_per_second);
 
   const uint32_t count = last_.value() - first_.value() + 1;
@@ -40,10 +36,10 @@ void EtherHostProbe::StartImpl() {
       continue;  // Don't probe ourselves.
     }
     ScheduleGuarded(spacing * i, [this, target]() {
-      vantage_->SendUdp(target, 40000, kUdpEchoPort, {});
+      SendUdp(target, 40000, kUdpEchoPort, {});
       auto& tracer = telemetry::Tracer::Global();
       if (tracer.enabled()) {
-        tracer.Record(vantage_->Now(), telemetry::TraceEventKind::kProbeSent, "etherhostprobe",
+        tracer.Record(vantage().Now(), telemetry::TraceEventKind::kProbeSent, "etherhostprobe",
                       target.ToString());
       }
     });
@@ -56,18 +52,13 @@ void EtherHostProbe::StartImpl() {
 
 // Read the local ARP table — the kernel did the discovery for us.
 void EtherHostProbe::Harvest() {
-  if (harvested_) {
-    return;
-  }
-  harvested_ = true;
   std::map<uint64_t, std::vector<ArpCache::Entry>> by_mac;
-  for (const auto& entry : vantage_->arp_cache().Snapshot(vantage_->Now())) {
+  for (const auto& entry : vantage().arp_cache().Snapshot(vantage().Now())) {
     if (entry.ip >= first_ && entry.ip <= last_) {
       by_mac[entry.mac.ToU64()].push_back(entry);
     }
   }
   ExplorerReport& report = mutable_report();
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
   for (const auto& [mac_key, entries] : by_mac) {
     (void)mac_key;
     if (static_cast<int>(entries.size()) >= params_.proxy_arp_threshold) {
@@ -81,14 +72,10 @@ void EtherHostProbe::Harvest() {
       InterfaceObservation obs;
       obs.ip = entry.ip;
       obs.mac = entry.mac;
-      writer.StoreInterface(obs, DiscoverySource::kEtherHostProbe);
+      writer().StoreInterface(obs, DiscoverySource::kEtherHostProbe);
       ++report.discovered;
     }
   }
-  writer.Flush();
-  report.records_written = writer.totals().records_written;
-  report.new_info = writer.totals().new_info;
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
   report.replies_received = static_cast<uint64_t>(report.discovered);
 }
 

@@ -44,12 +44,9 @@ class EtherHostProbe : public ExplorerModule {
  private:
   void Harvest();
 
-  Host* vantage_;
   EtherHostProbeParams params_;
   Ipv4Address first_;
   Ipv4Address last_;
-  uint64_t sent_before_ = 0;
-  bool harvested_ = false;
   int proxy_suspects_ = 0;
 };
 

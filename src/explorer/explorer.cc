@@ -1,5 +1,7 @@
 #include "src/explorer/explorer.h"
 
+#include <algorithm>
+
 #include "src/telemetry/export.h"
 #include "src/telemetry/names.h"
 #include "src/util/logging.h"
@@ -15,11 +17,41 @@ std::string ExplorerReport::Summary() const {
       static_cast<unsigned long long>(replies_received), Elapsed().ToString().c_str());
 }
 
-ExplorerModule::ExplorerModule(std::string key, std::string display_name, EventQueue* events,
-                               JournalClient* journal)
-    : key_(std::move(key)), events_(events), journal_(journal) {
-  report_.module = std::move(display_name);
+namespace {
+
+// Publishes one run's counters (<key>/runs, <key>/packets_sent,
+// <key>/replies_received, <key>/discovered, <key>/records_written,
+// <key>/new_info) plus the <key>/run_duration_us histogram into the global
+// registry. The run's trace events come from the run span, not from here.
+void RecordModuleReport(const std::string& key, const ExplorerReport& report) {
+  auto& registry = telemetry::MetricsRegistry::Global();
+  registry.GetCounter(key + telemetry::names::kSuffixRuns)->Increment();
+  registry.GetCounter(key + telemetry::names::kSuffixPacketsSent)->Add(report.packets_sent);
+  registry.GetCounter(key + telemetry::names::kSuffixRepliesReceived)->Add(report.replies_received);
+  registry.GetCounter(key + telemetry::names::kSuffixDiscovered)
+      ->Add(static_cast<uint64_t>(report.discovered > 0 ? report.discovered : 0));
+  registry.GetCounter(key + telemetry::names::kSuffixRecordsWritten)
+      ->Add(static_cast<uint64_t>(report.records_written > 0 ? report.records_written : 0));
+  registry.GetCounter(key + telemetry::names::kSuffixNewInfo)
+      ->Add(static_cast<uint64_t>(report.new_info > 0 ? report.new_info : 0));
+  registry
+      .GetHistogram(key + telemetry::names::kSuffixRunDurationUs,
+                    telemetry::DurationBucketsMicros())
+      ->Observe(report.Elapsed().ToMicros());
 }
+
+}  // namespace
+
+ExplorerModule::ExplorerModule(std::string key, std::string display_name, Host* vantage,
+                               JournalClient* journal)
+    : key_(std::move(key)), host_(vantage), journal_(journal) {
+  report_.module = std::move(display_name);
+  if (journal_ != nullptr) {
+    writer_.emplace(journal_, [host = host_]() { return host->Now(); });
+  }
+}
+
+ExplorerModule::~ExplorerModule() { ReleaseRegistrations(); }
 
 void ExplorerModule::Start(CompletionFn done) {
   if (started_) {
@@ -29,7 +61,7 @@ void ExplorerModule::Start(CompletionFn done) {
   started_ = true;
   running_ = true;
   done_ = std::move(done);
-  report_.started = events_->Now();
+  report_.started = host_->Now();
   // make_current = false: the run outlives this call. The span still parents
   // on whatever is current here (the Discovery Manager's tick span), and
   // ScheduleGuarded re-activates it for each of the run's events.
@@ -62,17 +94,18 @@ void ExplorerModule::Complete() {
   // even a holder that already upgraded its weak_ptr observes the kill.
   alive_->store(false, std::memory_order_release);
   alive_.reset();
-  report_.finished = events_->Now();
-  RecordModuleReport(key_.c_str(), report_);
+  ReleaseRegistrations();
+  if (writer_.has_value()) {
+    writer_->Flush();
+  }
+  report_ = CurrentReport();
+  report_.finished = host_->Now();
+  RecordModuleReport(key_, report_);
   if (run_span_.has_value()) {
     run_span_->End(telemetry::TraceEventKind::kModuleRunEnd, report_.finished,
                    StringPrintf("discovered=%d new=%d sent=%llu", report_.discovered,
                                 report_.new_info,
                                 static_cast<unsigned long long>(report_.packets_sent)));
-    telemetry::MetricsRegistry::Global()
-        .GetHistogram(std::string(telemetry::names::kModuleRunLatencyUsPrefix) + key_,
-                      telemetry::DurationBucketsMicros())
-        ->Observe(run_span_->duration_us());
     run_span_.reset();
   }
   CompletionFn done = std::move(done_);
@@ -92,7 +125,7 @@ ExplorerReport ExplorerModule::Run() {
     result = report;
     completed = true;
   });
-  events_->RunWhile([&completed]() { return !completed; });
+  host_->events()->RunWhile([&completed]() { return !completed; });
   return result;
 }
 
@@ -102,7 +135,7 @@ void ExplorerModule::ScheduleGuarded(Duration delay, std::function<void()> fn) {
   // event and outgoing Journal frame it produces joins the module's trace.
   const telemetry::SpanContext ctx =
       run_span_.has_value() ? run_span_->context() : telemetry::SpanContext{};
-  events_->Schedule(delay, [alive = std::move(alive), ctx, fn = std::move(fn)]() {
+  host_->events()->Schedule(delay, [alive = std::move(alive), ctx, fn = std::move(fn)]() {
     const std::shared_ptr<std::atomic<bool>> token = alive.lock();
     if (token != nullptr && token->load(std::memory_order_acquire)) {
       const telemetry::CurrentSpanScope scope(telemetry::Tracer::Global(), ctx);
@@ -111,20 +144,92 @@ void ExplorerModule::ScheduleGuarded(Duration delay, std::function<void()> fn) {
   });
 }
 
-void RecordModuleReport(const char* key, const ExplorerReport& report) {
-  auto& registry = telemetry::MetricsRegistry::Global();
-  const std::string prefix(key);
-  registry.GetCounter(prefix + telemetry::names::kSuffixRuns)->Increment();
-  registry.GetCounter(prefix + telemetry::names::kSuffixPacketsSent)->Add(report.packets_sent);
-  registry.GetCounter(prefix + telemetry::names::kSuffixRepliesReceived)->Add(report.replies_received);
-  registry.GetCounter(prefix + telemetry::names::kSuffixDiscovered)
-      ->Add(static_cast<uint64_t>(report.discovered > 0 ? report.discovered : 0));
-  registry.GetCounter(prefix + telemetry::names::kSuffixRecordsWritten)
-      ->Add(static_cast<uint64_t>(report.records_written > 0 ? report.records_written : 0));
-  registry.GetCounter(prefix + telemetry::names::kSuffixNewInfo)
-      ->Add(static_cast<uint64_t>(report.new_info > 0 ? report.new_info : 0));
-  registry.GetHistogram(prefix + telemetry::names::kSuffixRunDurationUs, telemetry::DurationBucketsMicros())
-      ->Observe(report.Elapsed().ToMicros());
+ExplorerReport ExplorerModule::CurrentReport() const {
+  ExplorerReport report = report_;
+  if (writer_.has_value()) {
+    report.records_written = writer_->totals().records_written;
+    report.new_info = writer_->totals().new_info;
+  }
+  return report;
+}
+
+bool ExplorerModule::SendUdp(Ipv4Address dst, uint16_t src_port, uint16_t dst_port,
+                             ByteBuffer payload, uint8_t ttl) {
+  // Host::SendIpPacket returns true exactly when it counts the packet as
+  // sent, so the module is charged its own packets and nothing else.
+  const bool sent = host_->SendUdp(dst, src_port, dst_port, std::move(payload), ttl);
+  if (sent) {
+    ++report_.packets_sent;
+  }
+  return sent;
+}
+
+bool ExplorerModule::SendIcmp(Ipv4Address dst, const IcmpMessage& message, uint8_t ttl) {
+  const bool sent = host_->SendIcmp(dst, message, ttl);
+  if (sent) {
+    ++report_.packets_sent;
+  }
+  return sent;
+}
+
+int ExplorerModule::ListenIcmp(Host::IcmpListener listener) {
+  const int token = host_->AddIcmpListener(std::move(listener));
+  icmp_listeners_.push_back(token);
+  return token;
+}
+
+void ExplorerModule::Unlisten(int token) {
+  const auto it = std::find(icmp_listeners_.begin(), icmp_listeners_.end(), token);
+  if (it != icmp_listeners_.end()) {
+    icmp_listeners_.erase(it);
+    host_->RemoveIcmpListener(token);
+  }
+}
+
+bool ExplorerModule::BindUdp(uint16_t port, Host::UdpHandler handler) {
+  if (!host_->BindUdp(port, std::move(handler))) {
+    return false;
+  }
+  udp_ports_.push_back(port);
+  return true;
+}
+
+void ExplorerModule::UnbindUdp(uint16_t port) {
+  const auto it = std::find(udp_ports_.begin(), udp_ports_.end(), port);
+  if (it != udp_ports_.end()) {
+    udp_ports_.erase(it);
+    host_->UnbindUdp(port);
+  }
+}
+
+bool ExplorerModule::Tap(Segment::TapFn tap) {
+  Interface* iface = host_->primary_interface();
+  if (iface == nullptr || iface->segment == nullptr) {
+    FLOG(kError) << key_ << ": vantage host has no attached segment";
+    return false;
+  }
+  Untap();
+  tap_ = SegmentTap{iface->segment, iface->segment->AddTap(std::move(tap))};
+  return true;
+}
+
+void ExplorerModule::Untap() {
+  if (tap_.has_value()) {
+    tap_->segment->RemoveTap(tap_->token);
+    tap_.reset();
+  }
+}
+
+void ExplorerModule::ReleaseRegistrations() {
+  for (int token : icmp_listeners_) {
+    host_->RemoveIcmpListener(token);
+  }
+  icmp_listeners_.clear();
+  for (uint16_t port : udp_ports_) {
+    host_->UnbindUdp(port);
+  }
+  udp_ports_.clear();
+  Untap();
 }
 
 }  // namespace fremont

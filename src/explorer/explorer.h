@@ -3,7 +3,10 @@
 // Every module runs from a vantage Host inside the simulation, writes its
 // findings to the Journal through a JournalClient (full wire protocol), and
 // produces an ExplorerReport with the cost/effectiveness numbers the paper's
-// Tables 4-6 are built from.
+// Tables 4-6 are built from. The ExplorerModule base owns the vantage
+// plumbing every module shares: the counted send path behind packets_sent,
+// the listener/binding/tap registrations and their teardown, and the one
+// Journal writer.
 //
 // Modules share one cooperative, non-blocking lifecycle (ExplorerModule):
 // Start(done) schedules the module's own probe/timeout events on the event
@@ -22,10 +25,11 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "src/journal/batch_writer.h"
 #include "src/journal/client.h"
 #include "src/journal/records.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/host.h"
 #include "src/telemetry/span.h"
 #include "src/util/sim_time.h"
@@ -36,7 +40,7 @@ struct ExplorerReport {
   std::string module;
   SimTime started;
   SimTime finished;
-  uint64_t packets_sent = 0;     // Network load attributable to the module.
+  uint64_t packets_sent = 0;     // The module's own sends the vantage accepted.
   uint64_t replies_received = 0;
   int discovered = 0;            // Primary discovery count (module-specific).
   int records_written = 0;       // Journal stores issued.
@@ -56,17 +60,19 @@ struct ExplorerReport {
 // Start() stamps the report, opens the telemetry run span, and calls the
 // module's StartImpl(), which schedules events and attaches listeners but
 // never drives the queue. When the module's last event fires it calls
-// Complete(), which closes the span, publishes the per-module counters, and
-// invokes the completion callback — the callback is the last thing that
-// touches the object, so it may destroy the module. Events a module leaves
-// behind in the queue (e.g. probe timeouts outlived by their replies) are
-// guarded by a liveness token and become no-ops once the run has completed
-// (Complete() drops the token), even while the instance itself lives on.
+// Complete(), which undoes the module's registrations, flushes its writer,
+// closes the span, publishes the per-module counters, and invokes the
+// completion callback — the callback is the last thing that touches the
+// object, so it may destroy the module. Events a module leaves behind in the
+// queue (e.g. probe timeouts outlived by their replies) are guarded by a
+// liveness token and become no-ops once the run has completed (Complete()
+// drops the token), even while the instance itself lives on.
 class ExplorerModule {
  public:
   using CompletionFn = std::function<void(const ExplorerReport&)>;
 
-  virtual ~ExplorerModule() = default;
+  // Undoes whatever registrations are left; the writer ships what it holds.
+  virtual ~ExplorerModule();
   ExplorerModule(const ExplorerModule&) = delete;
   ExplorerModule& operator=(const ExplorerModule&) = delete;
 
@@ -92,22 +98,24 @@ class ExplorerModule {
 
  protected:
   // `key` names the metric family; `display_name` is the human module name
-  // the paper's tables use ("ARPwatch", "SeqPing", ...).
-  ExplorerModule(std::string key, std::string display_name, EventQueue* events,
+  // the paper's tables use ("ARPwatch", "SeqPing", ...). The module runs on
+  // `vantage`'s event queue. A null `journal` (test fakes) gets no writer.
+  ExplorerModule(std::string key, std::string display_name, Host* vantage,
                  JournalClient* journal);
 
   // Module-specific startup: compute targets, attach listeners, schedule
   // events. Must arrange for Complete() to eventually run (directly for
   // degenerate cases).
   virtual void StartImpl() = 0;
-  // Module-specific teardown for Cancel(): detach listeners/taps and settle
-  // the report; Cancel() calls Complete() afterwards. Must be idempotent
-  // against the normal completion path.
+  // Module-specific work for Cancel(): write what was gathered and settle
+  // the report; Cancel() calls Complete() afterwards, which detaches.
   virtual void CancelImpl() {}
 
-  // Finalizes the run: stamps report.finished, publishes telemetry, fires
-  // the completion callback. Idempotent; after the callback returns nothing
-  // touches the object (the callback may destroy it).
+  // Finalizes the run: undoes the registrations, flushes the writer into
+  // records_written/new_info, stamps report.finished, publishes telemetry,
+  // fires the completion callback. Idempotent; after the callback returns
+  // nothing touches the object (the callback may destroy it). Not callable
+  // from inside a tap callback (Untap() below).
   void Complete();
 
   // Schedules `fn` after `delay`; the event is dropped if the run has
@@ -117,14 +125,51 @@ class ExplorerModule {
   // module can be destroyed.
   void ScheduleGuarded(Duration delay, std::function<void()> fn);
 
-  EventQueue* events() const { return events_; }
+  // Read-only: a module sends and registers only through the calls below.
+  const Host& vantage() const { return *host_; }
   JournalClient* journal() const { return journal_; }
+  // The module's Journal writer, stamped with the vantage clock and created
+  // with the module (so its place in the client's flush order is fixed at
+  // construction). Requires a journal.
+  JournalBatchWriter& writer() { return *writer_; }
   ExplorerReport& mutable_report() { return report_; }
+  // The report so far, with the writer's totals as of its last flush.
+  ExplorerReport CurrentReport() const;
+
+  // Counted sends: each packet the vantage accepts adds one to packets_sent.
+  bool SendUdp(Ipv4Address dst, uint16_t src_port, uint16_t dst_port, ByteBuffer payload,
+               uint8_t ttl = 64);
+  bool SendIcmp(Ipv4Address dst, const IcmpMessage& message, uint8_t ttl = 64);
+
+  // Registrations on the vantage and its segment. The module records each
+  // one it makes; the matching Un* call undoes one early, and Complete() and
+  // the destructor undo the rest. None of them touches a registration this
+  // module did not make.
+  int ListenIcmp(Host::IcmpListener listener);  // Returns the token for Unlisten.
+  void Unlisten(int token);
+  bool BindUdp(uint16_t port, Host::UdpHandler handler);  // False if the port is taken.
+  void UnbindUdp(uint16_t port);
+  // Taps the vantage's segment; false, and logged, if it has none. A module
+  // holds one tap, so a second Tap() replaces the first. Never Untap() from
+  // inside the tap callback: the segment is iterating its taps.
+  bool Tap(Segment::TapFn tap);
+  void Untap();
+  bool tapping() const { return tap_.has_value(); }
 
  private:
+  void ReleaseRegistrations();
+
   std::string key_;
-  EventQueue* events_;
+  Host* host_;
   JournalClient* journal_;
+  std::optional<JournalBatchWriter> writer_;
+  std::vector<int> icmp_listeners_;
+  std::vector<uint16_t> udp_ports_;
+  struct SegmentTap {
+    Segment* segment;
+    int token;
+  };
+  std::optional<SegmentTap> tap_;
   ExplorerReport report_;
   CompletionFn done_;
   bool started_ = false;
@@ -141,16 +186,6 @@ class ExplorerModule {
   // probe traces and Journal flushes triggered mid-run land under it.
   std::optional<telemetry::Span> run_span_;
 };
-
-// Metrics hook shared by every Explorer Module; the ExplorerModule driver
-// calls it so individual modules no longer do. `key` is the module's
-// metric-family name, lowercase (matching the Discovery Manager registration
-// names: "arpwatch", "etherhostprobe", "seqping", ...). Publishes the run's
-// counters (<key>/runs, <key>/packets_sent, <key>/replies_received,
-// <key>/discovered, <key>/records_written, <key>/new_info) plus the
-// <key>/run_duration_us histogram into the global registry. The run's trace
-// events come from the driver's run span, not from here.
-void RecordModuleReport(const char* key, const ExplorerReport& report);
 
 }  // namespace fremont
 

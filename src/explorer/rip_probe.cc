@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "src/journal/batch_writer.h"
 #include "src/net/udp.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
@@ -14,19 +13,10 @@ constexpr uint16_t kRipProbePort = 30520;
 }
 
 RipProbe::RipProbe(Host* vantage, JournalClient* journal, RipProbeParams params)
-    : ExplorerModule("ripprobe", "RIPprobe", vantage->events(), journal),
-      vantage_(vantage),
-      params_(std::move(params)) {}
-
-RipProbe::~RipProbe() {
-  if (port_bound_) {
-    vantage_->UnbindUdp(kRipProbePort);
-    port_bound_ = false;
-  }
-}
+    : ExplorerModule("ripprobe", "RIPprobe", vantage, journal), params_(std::move(params)) {}
 
 Subnet RipProbe::InferSubnet(Ipv4Address advertised) const {
-  Interface* iface = vantage_->primary_interface();
+  Interface* iface = vantage().primary_interface();
   if (iface != nullptr) {
     const Subnet classful(iface->ip, iface->ip.NaturalMask());
     if (classful.Contains(advertised)) {
@@ -60,7 +50,6 @@ void RipProbe::StartImpl() {
     }
   }
 
-  sent_before_ = vantage_->packets_sent();
   ProbeNext(0);
 }
 
@@ -79,27 +68,23 @@ void RipProbe::ProbeNext(size_t index) {
   // to the same box.
   auto entries = std::make_shared<std::optional<std::vector<RipEntry>>>();
   auto responder = std::make_shared<Ipv4Address>();
-  vantage_->BindUdp(kRipProbePort,
-                    [entries, responder](const Ipv4Packet& packet,
-                                         const UdpDatagram& datagram) {
-                      auto rip = RipPacket::Decode(datagram.payload);
-                      if (rip.has_value() && rip->command == RipCommand::kResponse) {
-                        if (!entries->has_value()) {
-                          *entries = std::vector<RipEntry>();
-                        }
-                        *responder = packet.src;
-                        (*entries)->insert((*entries)->end(), rip->entries.begin(),
-                                           rip->entries.end());
-                      }
-                    });
-  port_bound_ = true;
+  BindUdp(kRipProbePort, [entries, responder](const Ipv4Packet& packet,
+                                              const UdpDatagram& datagram) {
+    auto rip = RipPacket::Decode(datagram.payload);
+    if (rip.has_value() && rip->command == RipCommand::kResponse) {
+      if (!entries->has_value()) {
+        *entries = std::vector<RipEntry>();
+      }
+      *responder = packet.src;
+      (*entries)->insert((*entries)->end(), rip->entries.begin(), rip->entries.end());
+    }
+  });
   RipPacket request;
   request.command = params_.use_poll ? RipCommand::kPoll : RipCommand::kRequest;
-  vantage_->SendUdp(target, kRipProbePort, kRipPort, request.Encode());
+  SendUdp(target, kRipProbePort, kRipPort, request.Encode());
 
   ScheduleGuarded(params_.reply_timeout, [this, index, target, entries, responder]() {
-    vantage_->UnbindUdp(kRipProbePort);
-    port_bound_ = false;
+    UnbindUdp(kRipProbePort);
     if (!entries->has_value()) {
       silent_.push_back(target);
     } else {
@@ -114,15 +99,13 @@ void RipProbe::ProbeNext(size_t index) {
 // Write findings: the responding router is a RIP source and a gateway; its
 // metric-1 routes are its directly connected subnets.
 void RipProbe::Finish() {
-  ExplorerReport& report = mutable_report();
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
   std::set<uint32_t> subnets_seen;
   for (const auto& [target_value, entries] : tables_) {
     const Ipv4Address target(target_value);
     InterfaceObservation source_obs;
     source_obs.ip = target;
     source_obs.rip_source = true;
-    writer.StoreInterface(source_obs, DiscoverySource::kRipWatch);
+    writer().StoreInterface(source_obs, DiscoverySource::kRipWatch);
 
     GatewayObservation gw;
     gw.interface_ips = {target};
@@ -136,22 +119,17 @@ void RipProbe::Finish() {
       subnets_seen.insert(subnet.network().value());
       SubnetObservation subnet_obs;
       subnet_obs.subnet = subnet;
-      writer.StoreSubnet(subnet_obs, DiscoverySource::kRipWatch);
+      writer().StoreSubnet(subnet_obs, DiscoverySource::kRipWatch);
       if (entry.metric <= 1) {
         gw.connected_subnets.push_back(subnet);
       }
     }
     if (!gw.connected_subnets.empty()) {
-      writer.StoreGateway(gw, DiscoverySource::kRipWatch);
+      writer().StoreGateway(gw, DiscoverySource::kRipWatch);
     }
   }
-  writer.Flush();
-  report.records_written = writer.totals().records_written;
-  report.new_info = writer.totals().new_info;
-
   subnets_discovered_ = static_cast<int>(subnets_seen.size());
-  report.discovered = subnets_discovered_;
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
+  mutable_report().discovered = subnets_discovered_;
   if (!silent_.empty()) {
     FLOG(kInfo) << "ripprobe: " << silent_.size() << " target(s) did not answer";
     telemetry::MetricsRegistry::Global()
@@ -160,12 +138,6 @@ void RipProbe::Finish() {
   }
 }
 
-void RipProbe::CancelImpl() {
-  if (port_bound_) {
-    vantage_->UnbindUdp(kRipProbePort);
-    port_bound_ = false;
-  }
-  Finish();
-}
+void RipProbe::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -43,7 +43,6 @@ struct RipProbeParams {
 class RipProbe : public ExplorerModule {
  public:
   RipProbe(Host* vantage, JournalClient* journal, RipProbeParams params = {});
-  ~RipProbe() override;
 
   // Target address → full routing table it reported.
   const std::map<uint32_t, std::vector<RipEntry>>& tables() const { return tables_; }
@@ -60,12 +59,9 @@ class RipProbe : public ExplorerModule {
   void ProbeNext(size_t index);
   void Finish();
 
-  Host* vantage_;
   RipProbeParams params_;
   std::vector<Ipv4Address> targets_;
   std::map<uint32_t, Ipv4Address> responder_for_target_;
-  uint64_t sent_before_ = 0;
-  bool port_bound_ = false;
   std::map<uint32_t, std::vector<RipEntry>> tables_;
   std::vector<Ipv4Address> silent_;
   int subnets_discovered_ = 0;

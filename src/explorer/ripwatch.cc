@@ -1,66 +1,33 @@
 #include "src/explorer/ripwatch.h"
 
-#include "src/journal/batch_writer.h"
 #include "src/net/ipv4.h"
 #include "src/net/udp.h"
-#include "src/util/logging.h"
 
 namespace fremont {
 
 RipWatch::RipWatch(Host* vantage, JournalClient* journal, RipWatchParams params)
-    : ExplorerModule("ripwatch", "RIPwatch", vantage->events(), journal),
-      vantage_(vantage),
-      params_(params) {}
-
-RipWatch::~RipWatch() { StopCapture(); }
+    : ExplorerModule("ripwatch", "RIPwatch", vantage, journal), params_(params) {}
 
 bool RipWatch::StartCapture() {
-  if (tap_token_ >= 0) {
-    return true;
-  }
-  Interface* iface = vantage_->primary_interface();
-  if (iface == nullptr || iface->segment == nullptr) {
-    FLOG(kError) << "ripwatch: vantage host has no attached segment";
-    return false;
-  }
-  segment_ = iface->segment;
-  tap_token_ = segment_->AddTap(
-      [this](const EthernetFrame& frame, SimTime now) { OnFrame(frame, now); });
-  return true;
+  return tapping() ||
+         Tap([this](const EthernetFrame& frame, SimTime now) { OnFrame(frame, now); });
 }
 
-void RipWatch::StopCapture() {
-  if (tap_token_ >= 0 && segment_ != nullptr) {
-    segment_->RemoveTap(tap_token_);
-  }
-  tap_token_ = -1;
-}
+void RipWatch::StopCapture() { Untap(); }
 
 void RipWatch::StartImpl() {
   if (!StartCapture()) {
-    FillReport();
+    WriteFindings();
     Complete();
     return;
   }
   ScheduleGuarded(params_.watch, [this]() {
-    StopCapture();
-    FillReport();
+    WriteFindings();
     Complete();
   });
 }
 
-void RipWatch::CancelImpl() {
-  StopCapture();
-  FillReport();
-}
-
-void RipWatch::FillReport() {
-  ExplorerReport& report = mutable_report();
-  report.packets_sent = 0;  // Passive.
-  report.replies_received = packets_seen_;
-  report.records_written = WriteFindings(&report.new_info);
-  report.discovered = subnets_seen();
-}
+void RipWatch::CancelImpl() { WriteFindings(); }
 
 void RipWatch::OnFrame(const EthernetFrame& frame, SimTime) {
   if (frame.ethertype != EtherType::kIpv4) {
@@ -78,11 +45,11 @@ void RipWatch::OnFrame(const EthernetFrame& frame, SimTime) {
   if (!rip.has_value() || rip->command != RipCommand::kResponse) {
     return;
   }
-  ++packets_seen_;
+  ++mutable_report().replies_received;
 
   SourceState& state = sources_[packet->src.value()];
   state.mac = frame.src;
-  const Subnet local = vantage_->primary_interface()->AttachedSubnet();
+  const Subnet local = vantage().primary_interface()->AttachedSubnet();
   for (const auto& entry : rip->entries) {
     auto it = state.routes.find(entry.address.value());
     if (it == state.routes.end() || entry.metric < it->second) {
@@ -96,7 +63,7 @@ void RipWatch::OnFrame(const EthernetFrame& frame, SimTime) {
 }
 
 Subnet RipWatch::InferSubnet(Ipv4Address advertised) const {
-  Interface* iface = vantage_->primary_interface();
+  Interface* iface = vantage().primary_interface();
   const Subnet classful(iface->ip, iface->ip.NaturalMask());
   if (classful.Contains(advertised)) {
     return Subnet(advertised, iface->mask);
@@ -108,8 +75,8 @@ int RipWatch::subnets_seen() const {
   std::set<uint32_t> subnets;
   // The attached subnet is directly observed (split horizon means no honest
   // gateway will ever advertise it back onto itself).
-  if (vantage_->primary_interface() != nullptr) {
-    subnets.insert(vantage_->primary_interface()->AttachedSubnet().network().value());
+  if (vantage().primary_interface() != nullptr) {
+    subnets.insert(vantage().primary_interface()->AttachedSubnet().network().value());
   }
   for (const auto& [src, state] : sources_) {
     (void)src;
@@ -153,12 +120,11 @@ std::vector<Ipv4Address> RipWatch::promiscuous_sources() const {
   return out;
 }
 
-int RipWatch::WriteFindings(int* new_info_out) {
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
-  if (vantage_->primary_interface() != nullptr) {
+void RipWatch::WriteFindings() {
+  if (vantage().primary_interface() != nullptr) {
     SubnetObservation local_obs;
-    local_obs.subnet = vantage_->primary_interface()->AttachedSubnet();
-    writer.StoreSubnet(local_obs, DiscoverySource::kRipWatch);
+    local_obs.subnet = vantage().primary_interface()->AttachedSubnet();
+    writer().StoreSubnet(local_obs, DiscoverySource::kRipWatch);
   }
   const auto promiscuous = promiscuous_sources();
   auto is_promiscuous = [&](uint32_t src) {
@@ -176,7 +142,7 @@ int RipWatch::WriteFindings(int* new_info_out) {
     source_obs.mac = state.mac;
     source_obs.rip_source = true;
     source_obs.rip_promiscuous = is_promiscuous(src);
-    writer.StoreInterface(source_obs, DiscoverySource::kRipWatch);
+    writer().StoreInterface(source_obs, DiscoverySource::kRipWatch);
 
     if (source_obs.rip_promiscuous) {
       continue;  // Routes from untrustworthy sources are not recorded.
@@ -185,14 +151,10 @@ int RipWatch::WriteFindings(int* new_info_out) {
       (void)metric;
       SubnetObservation subnet_obs;
       subnet_obs.subnet = InferSubnet(Ipv4Address(addr));
-      writer.StoreSubnet(subnet_obs, DiscoverySource::kRipWatch);
+      writer().StoreSubnet(subnet_obs, DiscoverySource::kRipWatch);
     }
   }
-  writer.Flush();
-  if (new_info_out != nullptr) {
-    *new_info_out = writer.totals().new_info;
-  }
-  return writer.totals().records_written;
+  mutable_report().discovered = subnets_seen();
 }
 
 }  // namespace fremont

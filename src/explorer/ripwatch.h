@@ -22,7 +22,6 @@
 
 #include "src/explorer/explorer.h"
 #include "src/net/rip.h"
-#include "src/sim/segment.h"
 
 namespace fremont {
 
@@ -35,24 +34,17 @@ struct RipWatchParams {
 class RipWatch : public ExplorerModule {
  public:
   RipWatch(Host* vantage, JournalClient* journal, RipWatchParams params = {});
-  ~RipWatch() override;
 
   // Open-ended capture controls for callers that manage the tap themselves
   // (no `watch` deadline); Start()/Run() drive these internally.
   bool StartCapture();
   void StopCapture();
 
-  // Writes accumulated findings to the Journal; called by the managed run,
-  // or manually after StartCapture/StopCapture. Returns records written;
-  // `new_info_out` (optional) receives the count of stores that created or
-  // changed a record.
-  int WriteFindings(int* new_info_out = nullptr);
-
   int subnets_seen() const;
   std::vector<Ipv4Address> promiscuous_sources() const;
 
  protected:
-  // Managed lifecycle: attach the tap, detach `watch` later, write, report.
+  // Managed lifecycle: attach the tap, write and report `watch` later.
   void StartImpl() override;
   void CancelImpl() override;
 
@@ -65,13 +57,10 @@ class RipWatch : public ExplorerModule {
 
   void OnFrame(const EthernetFrame& frame, SimTime now);
   Subnet InferSubnet(Ipv4Address advertised) const;
-  void FillReport();
+  // Writes the accumulated findings and settles the report.
+  void WriteFindings();
 
-  Host* vantage_;
   RipWatchParams params_;
-  Segment* segment_ = nullptr;
-  int tap_token_ = -1;
-  uint64_t packets_seen_ = 0;
   std::map<uint32_t, SourceState> sources_;  // Keyed by source IP.
 };
 

@@ -1,6 +1,5 @@
 #include "src/explorer/seq_ping.h"
 
-#include "src/journal/batch_writer.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
 #include "src/telemetry/trace.h"
@@ -13,20 +12,10 @@ constexpr int kPasses = 2;
 }
 
 SeqPing::SeqPing(Host* vantage, JournalClient* journal, SeqPingParams params)
-    : ExplorerModule("seqping", "SeqPing", vantage->events(), journal),
-      vantage_(vantage),
-      params_(params) {}
-
-SeqPing::~SeqPing() {
-  // Destroyed mid-run (no Cancel): detach quietly, write nothing.
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-}
+    : ExplorerModule("seqping", "SeqPing", vantage, journal), params_(params) {}
 
 void SeqPing::StartImpl() {
-  Interface* iface = vantage_->primary_interface();
+  Interface* iface = vantage().primary_interface();
   if (iface == nullptr) {
     Complete();
     return;
@@ -44,20 +33,18 @@ void SeqPing::StartImpl() {
     }
   }
 
-  icmp_token_ = vantage_->AddIcmpListener(
-      [this](const Ipv4Packet& packet, const IcmpMessage& message) {
-        if (message.type == IcmpType::kEchoReply && message.identifier == kPingIdent) {
-          replied_.insert(packet.src.value());
-          ++mutable_report().replies_received;
-          auto& tracer = telemetry::Tracer::Global();
-          if (tracer.enabled()) {
-            tracer.Record(vantage_->Now(), telemetry::TraceEventKind::kReplyMatched, "seqping",
-                          packet.src.ToString());
-          }
-        }
-      });
+  ListenIcmp([this](const Ipv4Packet& packet, const IcmpMessage& message) {
+    if (message.type == IcmpType::kEchoReply && message.identifier == kPingIdent) {
+      replied_.insert(packet.src.value());
+      ++mutable_report().replies_received;
+      auto& tracer = telemetry::Tracer::Global();
+      if (tracer.enabled()) {
+        tracer.Record(vantage().Now(), telemetry::TraceEventKind::kReplyMatched, "seqping",
+                      packet.src.ToString());
+      }
+    }
+  });
 
-  sent_before_ = vantage_->packets_sent();
   BeginPass(0);
 }
 
@@ -70,14 +57,14 @@ void SeqPing::BeginPass(int pass) {
     }
   }
   if (to_probe.empty()) {
-    Teardown();
+    Finish();
     Complete();
     return;
   }
   uint16_t seq = 0;
   for (const Ipv4Address target : to_probe) {
     ScheduleGuarded(params_.interval * seq, [this, target, seq]() {
-      vantage_->SendIcmp(target, IcmpMessage::EchoRequest(kPingIdent, seq));
+      SendIcmp(target, IcmpMessage::EchoRequest(kPingIdent, seq));
     });
     ++seq;
   }
@@ -85,32 +72,20 @@ void SeqPing::BeginPass(int pass) {
     if (pass + 1 < kPasses) {
       BeginPass(pass + 1);
     } else {
-      Teardown();
+      Finish();
       Complete();
     }
   });
 }
 
-void SeqPing::Teardown() {
-  if (icmp_token_ < 0) {
-    return;
-  }
-  vantage_->RemoveIcmpListener(icmp_token_);
-  icmp_token_ = -1;
-
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
+void SeqPing::Finish() {
   for (uint32_t v : replied_) {
     InterfaceObservation obs;
     obs.ip = Ipv4Address(v);
-    writer.StoreInterface(obs, DiscoverySource::kSeqPing);
+    writer().StoreInterface(obs, DiscoverySource::kSeqPing);
     responders_.push_back(obs.ip);
   }
-  writer.Flush();
-  ExplorerReport& report = mutable_report();
-  report.records_written = writer.totals().records_written;
-  report.new_info = writer.totals().new_info;
-  report.discovered = static_cast<int>(replied_.size());
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
+  mutable_report().discovered = static_cast<int>(replied_.size());
   // Addresses that stayed silent through both passes timed out.
   uint64_t silent = 0;
   for (const Ipv4Address target : targets_) {
@@ -121,6 +96,6 @@ void SeqPing::Teardown() {
   telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kSeqPingTimeouts)->Add(silent);
 }
 
-void SeqPing::CancelImpl() { Teardown(); }
+void SeqPing::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -27,7 +27,6 @@ struct SeqPingParams {
 class SeqPing : public ExplorerModule {
  public:
   SeqPing(Host* vantage, JournalClient* journal, SeqPingParams params = {});
-  ~SeqPing() override;
 
   const std::vector<Ipv4Address>& responders() const { return responders_; }
 
@@ -37,15 +36,12 @@ class SeqPing : public ExplorerModule {
 
  private:
   void BeginPass(int pass);
-  void Teardown();
+  void Finish();
 
-  Host* vantage_;
   SeqPingParams params_;
   std::vector<Ipv4Address> targets_;
   std::set<uint32_t> replied_;
   std::vector<Ipv4Address> responders_;
-  uint64_t sent_before_ = 0;
-  int icmp_token_ = -1;
 };
 
 }  // namespace fremont

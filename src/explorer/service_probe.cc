@@ -45,27 +45,10 @@ uint16_t ServicePort(KnownService service) {
 }  // namespace
 
 ServiceProbe::ServiceProbe(Host* vantage, JournalClient* journal, ServiceProbeParams params)
-    : ExplorerModule("serviceprobe", "ServiceProbe", vantage->events(), journal),
-      vantage_(vantage),
-      params_(std::move(params)),
-      writer_(journal, [this]() { return vantage_->Now(); }) {}
-
-ServiceProbe::~ServiceProbe() { TeardownProbe(); }
-
-void ServiceProbe::TeardownProbe() {
-  if (!probe_active_) {
-    return;
-  }
-  probe_active_ = false;
-  vantage_->UnbindUdp(kProbeSrcPort);
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-}
+    : ExplorerModule("serviceprobe", "ServiceProbe", vantage, journal),
+      params_(std::move(params)) {}
 
 void ServiceProbe::StartImpl() {
-  sent_before_ = vantage_->packets_sent();
   targets_ = params_.targets;
   if (targets_.empty()) {
     for (const auto& rec : journal()->GetInterfaces()) {
@@ -90,7 +73,7 @@ void ServiceProbe::ProbeNext(size_t target_index, size_t service_index) {
       InterfaceObservation obs;
       obs.ip = targets_[target_index];
       obs.services = cur_found_mask_;
-      writer_.StoreInterface(obs, DiscoverySource::kManual);
+      writer().StoreInterface(obs, DiscoverySource::kManual);
     }
     cur_found_mask_ = 0;
     ProbeNext(target_index + 1, 0);
@@ -102,15 +85,18 @@ void ServiceProbe::ProbeNext(size_t target_index, size_t service_index) {
   const uint16_t port = ServicePort(service);
 
   // Continuation shared by the three ways a probe can settle: an answer, a
-  // Port Unreachable, or the timeout — first one wins.
+  // Port Unreachable, or the timeout — first one wins, and drops the probe's
+  // port binding and ICMP listener.
   auto settled = std::make_shared<bool>(false);
-  auto settle = [this, settled, target, service, target_index,
+  auto listener = std::make_shared<int>(-1);
+  auto settle = [this, settled, listener, target, service, target_index,
                  service_index](Verdict verdict) {
     if (*settled) {
       return;
     }
     *settled = true;
-    TeardownProbe();
+    UnbindUdp(kProbeSrcPort);
+    Unlisten(*listener);
     verdicts_[{target.value(), ServiceBit(service)}] = verdict;
     if (verdict == Verdict::kPresent) {
       cur_found_mask_ |= ServiceBit(service);
@@ -154,13 +140,12 @@ void ServiceProbe::ProbeNext(size_t target_index, size_t service_index) {
       break;
   }
 
-  vantage_->BindUdp(kProbeSrcPort,
-                    [settle, target](const Ipv4Packet& packet, const UdpDatagram&) {
-                      if (packet.src == target) {
-                        settle(Verdict::kPresent);
-                      }
-                    });
-  icmp_token_ = vantage_->AddIcmpListener(
+  BindUdp(kProbeSrcPort, [settle, target](const Ipv4Packet& packet, const UdpDatagram&) {
+    if (packet.src == target) {
+      settle(Verdict::kPresent);
+    }
+  });
+  *listener = ListenIcmp(
       [settle, target, port](const Ipv4Packet& packet, const IcmpMessage& message) {
         if (message.type != IcmpType::kDestUnreachable ||
             message.code != static_cast<uint8_t>(IcmpUnreachableCode::kPortUnreachable) ||
@@ -180,28 +165,18 @@ void ServiceProbe::ProbeNext(size_t target_index, size_t service_index) {
           settle(Verdict::kAbsent);
         }
       });
-  probe_active_ = true;
 
-  vantage_->SendUdp(target, kProbeSrcPort, port, std::move(payload));
+  SendUdp(target, kProbeSrcPort, port, std::move(payload));
   ScheduleGuarded(params_.reply_timeout, [settle]() { settle(Verdict::kUnknown); });
 }
 
 void ServiceProbe::Finish() {
-  writer_.Flush();
-  ExplorerReport& report = mutable_report();
-  report.records_written = writer_.totals().records_written;
-  report.new_info = writer_.totals().new_info;
-
   if (timeouts_ > 0) {
     telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kServiceProbeTimeouts)->Add(timeouts_);
   }
-  report.discovered = services_found_;
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
+  mutable_report().discovered = services_found_;
 }
 
-void ServiceProbe::CancelImpl() {
-  TeardownProbe();
-  Finish();
-}
+void ServiceProbe::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/explorer/explorer.h"
-#include "src/journal/batch_writer.h"
 
 namespace fremont {
 
@@ -40,7 +39,6 @@ struct ServiceProbeParams {
 class ServiceProbe : public ExplorerModule {
  public:
   ServiceProbe(Host* vantage, JournalClient* journal, ServiceProbeParams params = {});
-  ~ServiceProbe() override;
 
   enum class Verdict { kPresent, kAbsent, kUnknown };
   // (interface, service) → verdict for everything probed.
@@ -53,22 +51,16 @@ class ServiceProbe : public ExplorerModule {
 
  private:
   // Launches the probe for targets_[target_index] × services[service_index];
-  // chains to the next pair from its completion events.
+  // chains to the next pair from its completion events. Findings batch in
+  // the module's writer as each target completes, stamped with the probe
+  // time.
   void ProbeNext(size_t target_index, size_t service_index);
-  void TeardownProbe();
   void Finish();
 
-  Host* vantage_;
   ServiceProbeParams params_;
-  // Findings batch here as each target completes, stamped with the probe
-  // time; Finish() flushes.
-  JournalBatchWriter writer_;
   std::vector<Ipv4Address> targets_;
-  uint64_t sent_before_ = 0;
   int64_t timeouts_ = 0;
   uint16_t cur_found_mask_ = 0;  // Services confirmed on the current target.
-  bool probe_active_ = false;
-  int icmp_token_ = -1;
   std::map<std::pair<uint32_t, uint16_t>, Verdict> verdicts_;
   int services_found_ = 0;
   uint16_t next_query_id_ = 0x5350;

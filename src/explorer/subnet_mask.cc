@@ -1,6 +1,5 @@
 #include "src/explorer/subnet_mask.h"
 
-#include "src/journal/batch_writer.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
 
@@ -11,16 +10,8 @@ constexpr uint16_t kMaskIdent = 0x4d53;
 
 SubnetMaskExplorer::SubnetMaskExplorer(Host* vantage, JournalClient* journal,
                                        SubnetMaskParams params)
-    : ExplorerModule("subnetmasks", "SubnetMasks", vantage->events(), journal),
-      vantage_(vantage),
+    : ExplorerModule("subnetmasks", "SubnetMasks", vantage, journal),
       params_(std::move(params)) {}
-
-SubnetMaskExplorer::~SubnetMaskExplorer() {
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-}
 
 void SubnetMaskExplorer::StartImpl() {
   targets_ = params_.targets;
@@ -37,7 +28,7 @@ void SubnetMaskExplorer::StartImpl() {
   if (params_.negative_cache != nullptr) {
     std::vector<Ipv4Address> filtered;
     for (const Ipv4Address target : targets_) {
-      if (params_.negative_cache->ShouldSkip(target.value(), vantage_->Now())) {
+      if (params_.negative_cache->ShouldSkip(target.value(), vantage().Now())) {
         ++skipped_;
       } else {
         filtered.push_back(target);
@@ -46,48 +37,39 @@ void SubnetMaskExplorer::StartImpl() {
     targets_ = std::move(filtered);
   }
 
-  icmp_token_ = vantage_->AddIcmpListener(
-      [this](const Ipv4Packet& packet, const IcmpMessage& message) {
-        if (message.type == IcmpType::kMaskReply && message.identifier == kMaskIdent) {
-          replies_[packet.src.value()] = message.address_mask;
-          ++mutable_report().replies_received;
-        }
-      });
+  ListenIcmp([this](const Ipv4Packet& packet, const IcmpMessage& message) {
+    if (message.type == IcmpType::kMaskReply && message.identifier == kMaskIdent) {
+      replies_[packet.src.value()] = message.address_mask;
+      ++mutable_report().replies_received;
+    }
+  });
 
-  sent_before_ = vantage_->packets_sent();
   uint16_t seq = 0;
   for (const Ipv4Address target : targets_) {
     ScheduleGuarded(params_.interval * seq, [this, target, seq]() {
-      vantage_->SendIcmp(target, IcmpMessage::MaskRequest(kMaskIdent, seq));
+      SendIcmp(target, IcmpMessage::MaskRequest(kMaskIdent, seq));
     });
     ++seq;
   }
   ScheduleGuarded(params_.interval * seq + params_.reply_timeout, [this]() {
-    Teardown();
+    Finish();
     Complete();
   });
 }
 
-void SubnetMaskExplorer::Teardown() {
-  if (icmp_token_ < 0) {
-    return;
-  }
-  vantage_->RemoveIcmpListener(icmp_token_);
-  icmp_token_ = -1;
-
+void SubnetMaskExplorer::Finish() {
   // Feed the negative cache: silence is a failure, any reply is a success.
   if (params_.negative_cache != nullptr) {
     for (const Ipv4Address target : targets_) {
       if (replies_.contains(target.value())) {
         params_.negative_cache->RecordSuccess(target.value());
       } else {
-        params_.negative_cache->RecordFailure(target.value(), vantage_->Now());
+        params_.negative_cache->RecordFailure(target.value(), vantage().Now());
       }
     }
   }
 
   ExplorerReport& report = mutable_report();
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
   for (const auto& [ip, raw_mask] : replies_) {
     auto mask = SubnetMask::FromValue(raw_mask);
     if (!mask.has_value()) {
@@ -97,13 +79,9 @@ void SubnetMaskExplorer::Teardown() {
     InterfaceObservation obs;
     obs.ip = Ipv4Address(ip);
     obs.mask = *mask;
-    writer.StoreInterface(obs, DiscoverySource::kSubnetMask);
+    writer().StoreInterface(obs, DiscoverySource::kSubnetMask);
     ++report.discovered;
   }
-  writer.Flush();
-  report.records_written = writer.totals().records_written;
-  report.new_info = writer.totals().new_info;
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
   uint64_t silent = 0;
   for (const Ipv4Address target : targets_) {
     if (!replies_.contains(target.value())) {
@@ -116,6 +94,6 @@ void SubnetMaskExplorer::Teardown() {
       ->Add(static_cast<uint64_t>(skipped_ > 0 ? skipped_ : 0));
 }
 
-void SubnetMaskExplorer::CancelImpl() { Teardown(); }
+void SubnetMaskExplorer::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -33,7 +33,6 @@ struct SubnetMaskParams {
 class SubnetMaskExplorer : public ExplorerModule {
  public:
   SubnetMaskExplorer(Host* vantage, JournalClient* journal, SubnetMaskParams params = {});
-  ~SubnetMaskExplorer() override;
 
   // Replies carrying a non-contiguous (invalid) mask.
   int invalid_masks_seen() const { return invalid_masks_; }
@@ -45,14 +44,11 @@ class SubnetMaskExplorer : public ExplorerModule {
   void CancelImpl() override;
 
  private:
-  void Teardown();
+  void Finish();
 
-  Host* vantage_;
   SubnetMaskParams params_;
   std::vector<Ipv4Address> targets_;
   std::map<uint32_t, uint32_t> replies_;  // Source ip → raw mask.
-  uint64_t sent_before_ = 0;
-  int icmp_token_ = -1;
   int invalid_masks_ = 0;
   int skipped_ = 0;
 };

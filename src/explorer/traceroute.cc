@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/journal/batch_writer.h"
 #include "src/net/udp.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
@@ -13,16 +12,7 @@
 namespace fremont {
 
 Traceroute::Traceroute(Host* vantage, JournalClient* journal, TracerouteParams params)
-    : ExplorerModule("traceroute", "Traceroute", vantage->events(), journal),
-      vantage_(vantage),
-      params_(std::move(params)) {}
-
-Traceroute::~Traceroute() {
-  if (icmp_token_ >= 0) {
-    vantage_->RemoveIcmpListener(icmp_token_);
-    icmp_token_ = -1;
-  }
-}
+    : ExplorerModule("traceroute", "Traceroute", vantage, journal), params_(std::move(params)) {}
 
 Subnet Traceroute::AssumedSubnet(Ipv4Address ip) const {
   return Subnet(ip, SubnetMask::FromPrefixLength(params_.assumed_prefix));
@@ -49,7 +39,7 @@ void Traceroute::StartImpl() {
     }
   }
   // Never trace towards our own subnet.
-  Interface* iface = vantage_->primary_interface();
+  Interface* iface = vantage().primary_interface();
   if (iface != nullptr) {
     const Subnet own = iface->AttachedSubnet();
     std::erase_if(targets_, [&](const Subnet& s) { return s == own; });
@@ -72,15 +62,13 @@ void Traceroute::StartImpl() {
     }
   }
 
-  icmp_token_ = vantage_->AddIcmpListener(
-      [this](const Ipv4Packet& packet, const IcmpMessage& message) {
-        OnIcmp(packet, message);
-        // A terminal reply (or loop/backbone stop) may have been the last
-        // open question; nothing after this touches the module.
-        MaybeFinish();
-      });
+  ListenIcmp([this](const Ipv4Packet& packet, const IcmpMessage& message) {
+    OnIcmp(packet, message);
+    // A terminal reply (or loop/backbone stop) may have been the last open
+    // question; nothing after this touches the module.
+    MaybeFinish();
+  });
 
-  sent_before_ = vantage_->packets_sent();
   PumpSend();
 }
 
@@ -92,15 +80,9 @@ void Traceroute::MaybeFinish() {
   Complete();
 }
 
-// Shared teardown: collate, write findings, settle the report. Runs once —
+// Shared finish: collate, write findings, settle the report. Runs once —
 // from MaybeFinish when the last probe resolves, or early via Cancel().
 void Traceroute::CancelImpl() {
-  if (icmp_token_ < 0) {
-    return;
-  }
-  vantage_->RemoveIcmpListener(icmp_token_);
-  icmp_token_ = -1;
-
   // Collate per-target results.
   results_.clear();
   for (size_t t = 0; t < targets_.size(); ++t) {
@@ -129,11 +111,7 @@ void Traceroute::CancelImpl() {
     }
     results_.push_back(std::move(result));
   }
-
-  ExplorerReport& report = mutable_report();
-  WriteFindings(&report);
-  report.packets_sent = vantage_->packets_sent() - sent_before_;
-  report.replies_received = replies_;
+  WriteFindings();
 }
 
 bool Traceroute::AllDone() const {
@@ -173,8 +151,7 @@ void Traceroute::SendProbe(size_t trace_index) {
   outstanding_[port] = Outstanding{trace_index, trace.current_ttl, trace.attempts_at_ttl};
   ++trace.attempts_at_ttl;
 
-  vantage_->SendUdp(trace.probe_address, 40001, port, {},
-                    static_cast<uint8_t>(trace.current_ttl));
+  SendUdp(trace.probe_address, 40001, port, {}, static_cast<uint8_t>(trace.current_ttl));
 
   // Timeout: if this probe is still outstanding after reply_timeout, advance.
   const int ttl = trace.current_ttl;
@@ -246,10 +223,10 @@ void Traceroute::OnIcmp(const Ipv4Packet& packet, const IcmpMessage& message) {
   }
   const Outstanding probe = it->second;
   outstanding_.erase(it);
-  ++replies_;
+  ++mutable_report().replies_received;
   auto& tracer = telemetry::Tracer::Global();
   if (tracer.enabled()) {
-    tracer.Record(vantage_->Now(), telemetry::TraceEventKind::kReplyMatched, "traceroute",
+    tracer.Record(vantage().Now(), telemetry::TraceEventKind::kReplyMatched, "traceroute",
                   StringPrintf("ttl=%d hop=%s", probe.ttl, packet.src.ToString().c_str()));
   }
 
@@ -294,9 +271,8 @@ void Traceroute::OnIcmp(const Ipv4Packet& packet, const IcmpMessage& message) {
   trace.done = true;
 }
 
-void Traceroute::WriteFindings(ExplorerReport* report) {
+void Traceroute::WriteFindings() {
   std::set<uint32_t> confirmed_subnets;
-  JournalBatchWriter writer(journal(), [this]() { return vantage_->Now(); });
 
   for (const auto& result : results_) {
     // Each responding hop is a gateway interface.
@@ -316,9 +292,9 @@ void Traceroute::WriteFindings(ExplorerReport* report) {
         GatewayObservation prev;
         prev.interface_ips = {previous_hop};
         prev.connected_subnets = {AssumedSubnet(hop.address)};
-        writer.StoreGateway(prev, DiscoverySource::kTraceroute);
+        writer().StoreGateway(prev, DiscoverySource::kTraceroute);
       }
-      writer.StoreGateway(gw, DiscoverySource::kTraceroute);
+      writer().StoreGateway(gw, DiscoverySource::kTraceroute);
       confirmed_subnets.insert(AssumedSubnet(hop.address).network().value());
       previous_hop = hop.address;
     }
@@ -329,15 +305,15 @@ void Traceroute::WriteFindings(ExplorerReport* report) {
         // A real interface inside the target subnet answered.
         InterfaceObservation obs;
         obs.ip = result.terminal;
-        writer.StoreInterface(obs, DiscoverySource::kTraceroute);
+        writer().StoreInterface(obs, DiscoverySource::kTraceroute);
         SubnetObservation subnet_obs;
         subnet_obs.subnet = result.target;
-        writer.StoreSubnet(subnet_obs, DiscoverySource::kTraceroute);
+        writer().StoreSubnet(subnet_obs, DiscoverySource::kTraceroute);
         if (!result.hops.empty() && !result.hops.back().address.IsZero()) {
           GatewayObservation last_gw;
           last_gw.interface_ips = {result.hops.back().address};
           last_gw.connected_subnets = {result.target};
-          writer.StoreGateway(last_gw, DiscoverySource::kTraceroute);
+          writer().StoreGateway(last_gw, DiscoverySource::kTraceroute);
         }
       } else {
         // The paper's special case: a gateway answered for the subnet; it is
@@ -345,16 +321,12 @@ void Traceroute::WriteFindings(ExplorerReport* report) {
         GatewayObservation gw;
         gw.interface_ips = {result.terminal};
         gw.connected_subnets = {result.target, AssumedSubnet(result.terminal)};
-        writer.StoreGateway(gw, DiscoverySource::kTraceroute);
+        writer().StoreGateway(gw, DiscoverySource::kTraceroute);
       }
     }
   }
-  writer.Flush();
-  report->records_written = writer.totals().records_written;
-  report->new_info = writer.totals().new_info;
-
   subnets_discovered_ = static_cast<int>(confirmed_subnets.size());
-  report->discovered = subnets_discovered_;
+  mutable_report().discovered = subnets_discovered_;
 }
 
 }  // namespace fremont

@@ -74,7 +74,6 @@ struct TraceResult {
 class Traceroute : public ExplorerModule {
  public:
   Traceroute(Host* vantage, JournalClient* journal, TracerouteParams params = {});
-  ~Traceroute() override;
 
   const std::vector<TraceResult>& results() const { return results_; }
   // Subnets confirmed (terminal reply, or gateway-link inference).
@@ -114,13 +113,10 @@ class Traceroute : public ExplorerModule {
   bool AllDone() const;
   // Collates results, writes findings, and Complete()s once AllDone().
   void MaybeFinish();
-  void WriteFindings(ExplorerReport* report);
+  void WriteFindings();
   Subnet AssumedSubnet(Ipv4Address ip) const;
 
-  Host* vantage_;
   TracerouteParams params_;
-  uint64_t sent_before_ = 0;
-  int icmp_token_ = -1;
 
   std::vector<Subnet> targets_;
   std::vector<AddressTrace> traces_;
@@ -134,7 +130,6 @@ class Traceroute : public ExplorerModule {
   std::map<uint16_t, Outstanding> outstanding_;
   uint16_t next_port_ = 0;
   bool pump_scheduled_ = false;
-  uint64_t replies_ = 0;
 
   std::vector<TraceResult> results_;
   int subnets_discovered_ = 0;

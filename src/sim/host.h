@@ -130,6 +130,7 @@ class Host : public FrameSink {
 
   // The local ARP table (what `arp -a` shows); EtherHostProbe reads this.
   ArpCache& arp_cache() { return arp_cache_; }
+  const ArpCache& arp_cache() const { return arp_cache_; }
 
   // True if `ip` is assigned to one of this host's interfaces.
   bool OwnsAddress(Ipv4Address ip) const;

@@ -134,13 +134,10 @@ inline constexpr SpanName kSpanCorrelate{"correlate"};
 inline constexpr SpanName kSpanManagerTick{"manager"};
 inline constexpr SpanName kSpanShardRun{"runtime_shard"};
 inline constexpr SpanName kSpanServeRefresh{"serve_refresh"};
-// Per-module sim-time run latency histograms, fed from the run span:
-// "module/run_latency_us/seqping".
-inline constexpr char kModuleRunLatencyUsPrefix[] = "module/run_latency_us/";
 
 // --- Explorer modules ---------------------------------------------------------
-// Shared per-run counters are "<module key>/<suffix>"; RecordModuleReport
-// builds them from the module's registry key with these suffixes.
+// Shared per-run counters are "<module key>/<suffix>"; ExplorerModule's
+// Complete() builds them from the module's registry key with these suffixes.
 inline constexpr char kSuffixRuns[] = "/runs";
 inline constexpr char kSuffixPacketsSent[] = "/packets_sent";
 inline constexpr char kSuffixRepliesReceived[] = "/replies_received";

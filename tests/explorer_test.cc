@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/explorer/arpwatch.h"
 #include "src/explorer/explorer.h"
 #include "src/explorer/broadcast_ping.h"
+#include "src/explorer/dns_explorer.h"
 #include "src/explorer/etherhostprobe.h"
 #include "src/explorer/ripwatch.h"
 #include "src/explorer/seq_ping.h"
@@ -14,6 +17,8 @@
 #include "src/explorer/traceroute.h"
 #include "src/journal/client.h"
 #include "src/journal/server.h"
+#include "src/manager/discovery_manager.h"
+#include "src/manager/module_registry.h"
 #include "src/sim/rip_daemon.h"
 #include "src/sim/simulator.h"
 #include "src/sim/traffic.h"
@@ -30,8 +35,8 @@ Subnet Net(const char* text) { return *Subnet::Parse(text); }
 // under concurrent ticks the instance outlives its run while peers drain.
 class StragglerModule : public ExplorerModule {
  public:
-  StragglerModule(EventQueue* events, int* late_fires)
-      : ExplorerModule("straggler", "Straggler", events, nullptr), late_fires_(late_fires) {}
+  StragglerModule(Host* vantage, int* late_fires)
+      : ExplorerModule("straggler", "Straggler", vantage, nullptr), late_fires_(late_fires) {}
 
  protected:
   void StartImpl() override {
@@ -45,8 +50,10 @@ class StragglerModule : public ExplorerModule {
 
 TEST(ExplorerLifecycleTest, LeftoverGuardedEventsDropAfterComplete) {
   EventQueue events;
+  Rng rng(1);
+  Host vantage("vantage", {}, &events, &rng);
   int late_fires = 0;
-  StragglerModule module(&events, &late_fires);
+  StragglerModule module(&vantage, &late_fires);
   bool done = false;
   module.Start([&done](const ExplorerReport&) { done = true; });
   events.RunUntilIdle();
@@ -58,8 +65,10 @@ TEST(ExplorerLifecycleTest, LeftoverGuardedEventsDropAfterComplete) {
 
 TEST(ExplorerLifecycleTest, LeftoverGuardedEventsDropAfterCancel) {
   EventQueue events;
+  Rng rng(1);
+  Host vantage("vantage", {}, &events, &rng);
   int late_fires = 0;
-  StragglerModule module(&events, &late_fires);
+  StragglerModule module(&vantage, &late_fires);
   module.Start();
   module.Cancel();
   events.RunUntilIdle();
@@ -72,7 +81,7 @@ class ExplorerLabTest : public ::testing::Test {
  protected:
   void SetUp() override {
     subnet_ = Net("10.1.1.0/24");
-    segment_ = sim_.CreateSegment("lab", subnet_);
+    segment_ = sim_.CreateSegment("lab", subnet_, segment_params_);
     vantage_ = AddHost("vantage", 250);
     server_ = std::make_unique<JournalServer>([this]() { return sim_.Now(); });
     client_ = std::make_unique<JournalClient>(server_.get());
@@ -86,6 +95,7 @@ class ExplorerLabTest : public ::testing::Test {
   }
 
   Simulator sim_{77};
+  SegmentParams segment_params_;
   Subnet subnet_;
   Segment* segment_ = nullptr;
   Host* vantage_ = nullptr;
@@ -496,6 +506,163 @@ TEST_F(TracerouteLabTest, RateLimitHolds) {
   const double rate = static_cast<double>(report.packets_sent) /
                       std::max<double>(1.0, report.Elapsed().ToSecondsF());
   EXPECT_LE(rate, 10.0);
+}
+
+// --- Vantage plumbing: counted sends and registrations ----------------------------
+
+// The lab on a segment that never drops a frame, so every probe and reply
+// lands and packet counts are exact.
+class QuietLabTest : public ExplorerLabTest {
+ protected:
+  QuietLabTest() { segment_params_.loss_per_concurrent = 0.0; }
+};
+
+// Modules launched into one Discovery Manager tick overlap on the vantage.
+// Each must be charged only the packets it sent (the paper's Table 4 load),
+// not everything the vantage sent while it ran.
+TEST_F(QuietLabTest, ConcurrentTickChargesEachModuleOnlyItsOwnPackets) {
+  for (uint8_t octet : {10, 11, 12}) {
+    AddHost("h" + std::to_string(octet), octet);
+  }
+  DiscoveryManager manager(&sim_.events(), client_.get());
+  auto add = [&manager](const char* name, std::function<std::unique_ptr<ExplorerModule>()> make) {
+    manager.RegisterModule({name, Duration::Hours(2), Duration::Days(7), std::move(make)});
+  };
+  add("broadcastping", [this]() {
+    BroadcastPingParams params;
+    params.pings = 1;
+    return std::make_unique<BroadcastPing>(vantage_, client_.get(), params);
+  });
+  add("subnetmasks",
+      [this]() { return std::make_unique<SubnetMaskExplorer>(vantage_, client_.get()); });
+  add("seqping", [this]() {
+    // .10-.12 answer; .13 does not exist.
+    SeqPingParams params;
+    params.first = subnet_.HostAt(10);
+    params.last = subnet_.HostAt(13);
+    return std::make_unique<SeqPing>(vantage_, client_.get(), params);
+  });
+
+  const uint64_t vantage_before = vantage_->packets_sent();
+  const std::vector<ExplorerReport> reports = manager.Tick();
+  const uint64_t vantage_sent = vantage_->packets_sent() - vantage_before;
+
+  ASSERT_EQ(reports.size(), 3u);
+  std::map<std::string, uint64_t> sent;
+  uint64_t total = 0;
+  for (const auto& report : reports) {
+    sent[report.module] = report.packets_sent;
+    total += report.packets_sent;
+  }
+  EXPECT_EQ(sent["BrdcastPing"], 1u);  // One broadcast ping.
+  EXPECT_EQ(sent["SubnetMasks"], 0u);  // Empty Journal: no targets.
+  EXPECT_EQ(sent["SeqPing"], 5u);      // Four first-pass requests, one retry to .13.
+  EXPECT_LE(total, vantage_sent);
+}
+
+// A module destroyed mid-run, without Cancel(), must leave no listener, port
+// or tap behind: the traffic below would otherwise reach the dead module
+// (ASan reports the use after free) and its ports would stay taken.
+class DestroyedModuleTest : public QuietLabTest,
+                            public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(DestroyedModuleTest, LeavesNothingRegistered) {
+  const ModuleSpec* spec = FindModuleSpec(GetParam());
+  ASSERT_NE(spec, nullptr);
+  // The peer answers nothing while the module runs, so every probe is still
+  // waiting when the module dies.
+  HostConfig mute;
+  mute.responds_to_echo = false;
+  mute.responds_to_mask_request = false;
+  mute.udp_echo_enabled = false;
+  mute.sends_port_unreachable = false;
+  Host* peer = AddHost("peer", 77, mute);
+  const Ipv4Address vantage_ip = vantage_->primary_interface()->ip;
+  const Ipv4Address peer_ip = peer->primary_interface()->ip;
+  // Targets for the Journal-fed modules: the peer as a RIP source (RIPprobe,
+  // ServiceProbe, SubnetMasks) and a remote subnet (Traceroute).
+  InterfaceObservation source;
+  source.ip = peer_ip;
+  source.rip_source = true;
+  client_->StoreInterface(source, DiscoverySource::kRipWatch);
+  SubnetObservation remote;
+  remote.subnet = Net("10.9.9.0/24");
+  client_->StoreSubnet(remote, DiscoverySource::kRipWatch);
+
+  {
+    std::unique_ptr<ExplorerModule> module = spec->make(vantage_, client_.get());
+    module->Start();
+    sim_.RunFor(Duration::Seconds(1));
+    ASSERT_TRUE(module->running());
+  }
+
+  // Replies that pass each module's listener filter: SeqPing's and
+  // BroadcastPing's echo identifiers, SubnetMasks' and DNS's mask
+  // identifiers, and errors quoting ServiceProbe's and Traceroute's probes.
+  for (uint16_t ident : {0x5051, 0x4250}) {
+    peer->SendIcmp(vantage_ip, IcmpMessage::EchoReply(ident, 0));
+  }
+  for (uint16_t ident : {0x4d53, 0x444d}) {
+    peer->SendIcmp(vantage_ip, IcmpMessage::MaskReply(ident, 0, subnet_.mask()));
+  }
+  for (const auto& [src_port, dst_port] :
+       {std::pair<uint16_t, uint16_t>{31007, kUdpEchoPort}, {40001, kTracerouteBasePort}}) {
+    UdpDatagram probe;
+    probe.src_port = src_port;
+    probe.dst_port = dst_port;
+    Ipv4Packet quoted;
+    quoted.src = vantage_ip;
+    quoted.dst = peer_ip;
+    quoted.payload = probe.Encode();
+    peer->SendIcmp(vantage_ip, IcmpMessage::DestUnreachable(IcmpUnreachableCode::kPortUnreachable,
+                                                            quoted.Encode()));
+    peer->SendIcmp(vantage_ip, IcmpMessage::TimeExceeded(quoted.Encode()));
+  }
+  // Datagrams to RIPprobe's, ServiceProbe's and DNS's client ports.
+  const std::vector<uint16_t> ports = {30520, 31007, 40053};
+  for (uint16_t port : ports) {
+    peer->SendUdp(vantage_ip, kDnsPort, port, {});
+  }
+  // Frames for the taps: a RIP response (RIPwatch) and an ARP request for an
+  // absent host (ARPwatch).
+  RipPacket response;
+  response.entries.push_back(RipEntry{Net("10.9.9.0/24").network(), 1});
+  peer->SendUdp(subnet_.BroadcastAddress(), kRipPort, kRipPort, response.Encode());
+  peer->SendUdp(subnet_.HostAt(78), kDnsPort, kUdpEchoPort, {});
+  sim_.RunFor(Duration::Seconds(30));
+
+  for (uint16_t port : ports) {
+    EXPECT_TRUE(vantage_->BindUdp(port, [](const Ipv4Packet&, const UdpDatagram&) {}))
+        << "port " << port << " is still bound";
+  }
+}
+
+std::vector<std::string> StandardModuleNames() {
+  std::vector<std::string> names;
+  for (const auto& spec : StandardModuleSpecs()) {
+    names.push_back(spec.name);
+  }
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(StandardModules, DestroyedModuleTest,
+                         ::testing::ValuesIn(StandardModuleNames()),
+                         [](const ::testing::TestParamInfo<std::string>& module) {
+                           return module.param;
+                         });
+
+// A module undoes only what it registered: a DnsExplorer that never ran holds
+// no port, so destroying it leaves another holder's binding of its client
+// port in place.
+TEST_F(ExplorerLabTest, UnstartedDnsExplorerLeavesAnotherHoldersPortBound) {
+  int delivered = 0;
+  ASSERT_TRUE(vantage_->BindUdp(
+      40053, [&delivered](const Ipv4Packet&, const UdpDatagram&) { ++delivered; }));
+  { DnsExplorer dns(vantage_, client_.get()); }
+  Host* peer = AddHost("peer", 10);
+  peer->SendUdp(vantage_->primary_interface()->ip, kDnsPort, 40053, {});
+  sim_.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(delivered, 1);
 }
 
 }  // namespace

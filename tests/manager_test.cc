@@ -12,6 +12,7 @@
 #include "src/manager/correlate.h"
 #include "src/manager/discovery_manager.h"
 #include "src/manager/schedule.h"
+#include "src/sim/host.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 #include "src/util/rng.h"
@@ -85,6 +86,14 @@ TEST(ScheduleFileTest, SaveLoad) {
   EXPECT_FALSE(LoadScheduleFile(path).has_value());
 }
 
+// The vantage a fake module runs from: a host with no interfaces on the
+// test's event queue.
+struct FakeVantage {
+  explicit FakeVantage(EventQueue* events) : host("vantage", {}, events, &rng) {}
+  Rng rng{1};
+  Host host;
+};
+
 // A scriptable ExplorerModule for manager tests: runs `runtime` of simulated
 // time (scheduling its own completion event, like a real module), then
 // reports the configured yield.
@@ -98,8 +107,8 @@ class FakeModule : public ExplorerModule {
     std::function<void()> on_complete;  // Runs just before Complete().
   };
 
-  FakeModule(const std::string& name, EventQueue* events, Config config)
-      : ExplorerModule(name, name, events, nullptr), config_(std::move(config)) {}
+  FakeModule(const std::string& name, Host* vantage, Config config)
+      : ExplorerModule(name, name, vantage, nullptr), config_(std::move(config)) {}
 
  protected:
   void StartImpl() override {
@@ -143,12 +152,13 @@ class DiscoveryManagerTest : public ::testing::Test {
       FakeModule::Config config;
       config.yield = (*yields_ptr)[index];
       config.on_complete = [this]() { ++total_runs_; };
-      return std::make_unique<FakeModule>(name, &events_, config);
+      return std::make_unique<FakeModule>(name, &vantage_.host, config);
     };
     manager_.RegisterModule(std::move(reg));
   }
 
   EventQueue events_;
+  FakeVantage vantage_{&events_};
   DiscoveryManager manager_;
   int total_runs_ = 0;
 };
@@ -217,7 +227,7 @@ TEST_F(DiscoveryManagerTest, ScheduleExportRestoreRoundTrip) {
   reg.make = [&runs, this]() {
     FakeModule::Config config;
     config.on_complete = [&runs]() { ++runs; };
-    return std::make_unique<FakeModule>("m", &events_, config);
+    return std::make_unique<FakeModule>("m", &vantage_.host, config);
   };
   fresh.RegisterModule(std::move(reg));
   fresh.RestoreSchedule(exported);
@@ -228,6 +238,7 @@ TEST_F(DiscoveryManagerTest, ScheduleExportRestoreRoundTrip) {
 
 TEST(DiscoveryManagerJournalTest, TracksJournalGrowthPerRun) {
   EventQueue events;
+  FakeVantage vantage(&events);
   JournalServer server([&events]() { return events.Now(); });
   JournalClient client(&server);
   DiscoveryManager manager(&events, &client);
@@ -249,7 +260,7 @@ TEST(DiscoveryManagerJournalTest, TracksJournalGrowthPerRun) {
       }
       ++run_index;
     };
-    return std::make_unique<FakeModule>("writer", &events, config);
+    return std::make_unique<FakeModule>("writer", &vantage.host, config);
   };
   manager.RegisterModule(std::move(reg));
 
@@ -277,7 +288,7 @@ TEST_F(DiscoveryManagerTest, RunForPopulatesTelemetryCounters) {
     config.packets_sent = 4;
     config.replies_received = 2;
     config.on_complete = [this]() { ++total_runs_; };
-    return std::make_unique<FakeModule>("faketelemetry", &events_, config);
+    return std::make_unique<FakeModule>("faketelemetry", &vantage_.host, config);
   };
   manager_.RegisterModule(std::move(reg));
   AddFakeModule("plain", Duration::Hours(8), Duration::Days(4), {0});
@@ -351,7 +362,7 @@ TEST_F(DiscoveryManagerTest, RegisterWhileTickInFlightKeepsStateReferencesStable
         AddFakeModule("late" + std::to_string(i), Duration::Hours(4), Duration::Days(7), {0});
       }
     };
-    return std::make_unique<FakeModule>("grower", &events_, config);
+    return std::make_unique<FakeModule>("grower", &vantage_.host, config);
   };
   manager_.RegisterModule(std::move(reg));
 
@@ -407,17 +418,17 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentTickOverlapsModuleRuns) {
   auto& metrics = telemetry::MetricsRegistry::Global();
   metrics.Reset();
 
-  auto build = [](EventQueue* events, DiscoveryManager* manager) {
+  auto build = [](Host* vantage, DiscoveryManager* manager) {
     for (const char* name : {"a", "b"}) {
       ModuleRegistration reg;
       reg.name = name;
       reg.min_interval = Duration::Hours(2);
       reg.max_interval = Duration::Days(7);
-      reg.make = [events, name]() {
+      reg.make = [vantage, name]() {
         FakeModule::Config config;
         config.runtime = Duration::Seconds(100);
         config.yield = 1;
-        return std::make_unique<FakeModule>(name, events, config);
+        return std::make_unique<FakeModule>(name, vantage, config);
       };
       manager->RegisterModule(std::move(reg));
     }
@@ -425,9 +436,10 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentTickOverlapsModuleRuns) {
 
   // Serial: the two 100-second runs execute back to back.
   EventQueue serial_events;
+  FakeVantage serial_vantage(&serial_events);
   DiscoveryManager serial(&serial_events, nullptr);
   serial.set_serial(true);
-  build(&serial_events, &serial);
+  build(&serial_vantage.host, &serial);
   auto serial_reports = serial.Tick();
   ASSERT_EQ(serial_reports.size(), 2u);
   EXPECT_EQ(serial_events.Now(), SimTime::Epoch() + Duration::Seconds(200));
@@ -437,9 +449,10 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentTickOverlapsModuleRuns) {
   // Concurrent (default): both launch into one event-queue pass and their
   // waits overlap, so wall-clock is one runtime, not two.
   EventQueue concurrent_events;
+  FakeVantage concurrent_vantage(&concurrent_events);
   DiscoveryManager concurrent(&concurrent_events, nullptr);
   EXPECT_FALSE(concurrent.serial());
-  build(&concurrent_events, &concurrent);
+  build(&concurrent_vantage.host, &concurrent);
   auto reports = concurrent.Tick();
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(concurrent_events.Now(), SimTime::Epoch() + Duration::Seconds(100));
@@ -456,6 +469,7 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentTickOverlapsModuleRuns) {
 TEST(DiscoveryManagerConcurrencyTest, ConcurrentAndSerialTicksYieldSameJournal) {
   auto run_mode = [](bool serial_mode) {
     EventQueue events;
+    FakeVantage vantage(&events);
     JournalServer server([&events]() { return events.Now(); });
     JournalClient client(&server);
     DiscoveryManager manager(&events, &client);
@@ -465,7 +479,7 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentAndSerialTicksYieldSameJournal) 
       reg.name = "writer" + std::to_string(m);
       reg.min_interval = Duration::Hours(2);
       reg.max_interval = Duration::Days(7);
-      reg.make = [&events, &client, m]() {
+      reg.make = [&vantage, &client, m]() {
         FakeModule::Config config;
         config.runtime = Duration::Seconds(30 + m);
         config.yield = 4;
@@ -476,7 +490,7 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentAndSerialTicksYieldSameJournal) 
             client.StoreInterface(obs, DiscoverySource::kSeqPing);
           }
         };
-        return std::make_unique<FakeModule>("writer", &events, config);
+        return std::make_unique<FakeModule>("writer", &vantage.host, config);
       };
       manager.RegisterModule(std::move(reg));
     }
@@ -712,6 +726,7 @@ TEST(CorrelateTest, StoreBetweenDeltaReadsReachesNextPass) {
 
 TEST(DiscoveryManagerJournalTest, AutoCorrelationRunsIncrementallyAfterTicks) {
   EventQueue events;
+  FakeVantage vantage(&events);
   JournalServer server([&events]() { return events.Now(); });
   JournalClient client(&server);
   DiscoveryManager manager(&events, &client);
@@ -737,7 +752,7 @@ TEST(DiscoveryManagerJournalTest, AutoCorrelationRunsIncrementallyAfterTicks) {
       client.StoreInterface(obs, DiscoverySource::kArpWatch);
       ++run_index;
     };
-    return std::make_unique<FakeModule>("arp", &events, config);
+    return std::make_unique<FakeModule>("arp", &vantage.host, config);
   };
   manager.RegisterModule(std::move(reg));
 
