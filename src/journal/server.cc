@@ -1,8 +1,12 @@
 #include "src/journal/server.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cinttypes>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,46 @@ namespace {
 // need the exclusive side of the ingest lock.
 bool IsWriteRequest(RequestType type) {
   return type == RequestType::kBatch || IsBatchableType(type);
+}
+
+// One slot per possible type byte, so any RequestType indexes in bounds.
+template <typename Instrument>
+using PerTypeSlots =
+    std::array<std::atomic<Instrument*>,
+               std::numeric_limits<std::underlying_type_t<RequestType>>::max() + 1>;
+
+// The per-op instruments, resolved once per RequestType instead of building
+// the name and taking the registry mutex on every request. A slot is filled
+// on first use, so an op never handled adds no zero-valued instrument to the
+// export. Racing first uses are benign (the registry hands back one stable
+// pointer per name), and the atomic slot publishes the instrument to threads
+// that never took the registry mutex.
+template <typename Instrument, typename Resolve>
+Instrument* ResolveOnce(PerTypeSlots<Instrument>& slots, RequestType type, Resolve resolve) {
+  std::atomic<Instrument*>& slot = slots[static_cast<size_t>(type)];
+  Instrument* instrument = slot.load();
+  if (instrument == nullptr) {
+    instrument = resolve();
+    slot.store(instrument);
+  }
+  return instrument;
+}
+
+telemetry::Counter* OpCounter(RequestType type) {
+  static PerTypeSlots<telemetry::Counter> slots = {};
+  return ResolveOnce(slots, type, [type]() {
+    return telemetry::MetricsRegistry::Global().GetCounter(
+        std::string(telemetry::names::kJournalServerOpsPrefix) + RequestTypeName(type));
+  });
+}
+
+telemetry::Histogram* OpLatencyHistogram(RequestType type) {
+  static PerTypeSlots<telemetry::Histogram> slots = {};
+  return ResolveOnce(slots, type, [type]() {
+    return telemetry::MetricsRegistry::Global().GetHistogram(
+        std::string(telemetry::names::kJournalServerOpLatencyUsPrefix) + RequestTypeName(type),
+        telemetry::DurationBucketsMicros());
+  });
 }
 
 }  // namespace
@@ -153,9 +197,7 @@ BatchItemResult JournalServer::ApplyWrite(const JournalRequest& item, SimTime no
 JournalResponse JournalServer::Handle(const JournalRequest& request) {
   requests_handled_.fetch_add(1, std::memory_order_relaxed);
   const SimTime now = clock_();
-  auto& metrics = telemetry::MetricsRegistry::Global();
-  metrics.GetCounter(std::string(telemetry::names::kJournalServerOpsPrefix) + RequestTypeName(request.type))
-      ->Increment();
+  OpCounter(request.type)->Increment();
   // The server-side span: parented on the span context the request carried
   // over the wire (if any), so a client's flush and the store it caused share
   // one trace. While the dispatch runs, the Journal stamps every changelog
@@ -182,11 +224,7 @@ JournalResponse JournalServer::Handle(const JournalRequest& request) {
   }
   const SimTime after = clock_();
   span.End(telemetry::TraceEventKind::kJournalRpc, after, RequestTypeName(request.type));
-  metrics
-      .GetHistogram(std::string(telemetry::names::kJournalServerOpLatencyUsPrefix) +
-                        RequestTypeName(request.type),
-                    telemetry::DurationBucketsMicros())
-      ->Observe(span.duration_us());
+  OpLatencyHistogram(request.type)->Observe(span.duration_us());
   return resp;
 }
 

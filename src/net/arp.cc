@@ -7,11 +7,14 @@ constexpr uint16_t kHardwareEthernet = 1;
 constexpr uint16_t kProtocolIpv4 = 0x0800;
 constexpr uint8_t kHardwareLen = 6;
 constexpr uint8_t kProtocolLen = 4;
+// Fixed header (8) + two (MAC, IPv4) address pairs.
+constexpr size_t kArpPacketLength = 8 + 2 * (kHardwareLen + kProtocolLen);
 
 }  // namespace
 
 ByteBuffer ArpPacket::Encode() const {
   ByteWriter writer;
+  writer.Reserve(kArpPacketLength);
   writer.WriteU16(kHardwareEthernet);
   writer.WriteU16(kProtocolIpv4);
   writer.WriteU8(kHardwareLen);
@@ -31,9 +34,11 @@ std::optional<ArpPacket> ArpPacket::Decode(const ByteBuffer& bytes) {
   uint8_t hardware_len = reader.ReadU8();
   uint8_t protocol_len = reader.ReadU8();
   uint16_t op = reader.ReadU16();
-  ByteBuffer sender_mac = reader.ReadBytes(6);
+  std::array<uint8_t, kHardwareLen> sender_mac;
+  reader.ReadInto(sender_mac.data(), sender_mac.size());
   uint32_t sender_ip = reader.ReadU32();
-  ByteBuffer target_mac = reader.ReadBytes(6);
+  std::array<uint8_t, kHardwareLen> target_mac;
+  reader.ReadInto(target_mac.data(), target_mac.size());
   uint32_t target_ip = reader.ReadU32();
   if (!reader.ok() || hardware != kHardwareEthernet || protocol != kProtocolIpv4 ||
       hardware_len != kHardwareLen || protocol_len != kProtocolLen ||
@@ -42,12 +47,9 @@ std::optional<ArpPacket> ArpPacket::Decode(const ByteBuffer& bytes) {
   }
   ArpPacket packet;
   packet.op = static_cast<ArpOp>(op);
-  std::array<uint8_t, 6> octets;
-  std::copy(sender_mac.begin(), sender_mac.end(), octets.begin());
-  packet.sender_mac = MacAddress(octets);
+  packet.sender_mac = MacAddress(sender_mac);
   packet.sender_ip = Ipv4Address(sender_ip);
-  std::copy(target_mac.begin(), target_mac.end(), octets.begin());
-  packet.target_mac = MacAddress(octets);
+  packet.target_mac = MacAddress(target_mac);
   packet.target_ip = Ipv4Address(target_ip);
   return packet;
 }

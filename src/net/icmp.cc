@@ -1,9 +1,29 @@
 #include "src/net/icmp.h"
 
 namespace fremont {
+namespace {
+
+// Type, code and checksum, then the type's second 32-bit word.
+constexpr size_t kHeaderLength = 8;
+
+}  // namespace
 
 ByteBuffer IcmpMessage::Encode() const {
   ByteWriter writer;
+  switch (type) {
+    case IcmpType::kEchoRequest:
+    case IcmpType::kEchoReply:
+      writer.Reserve(kHeaderLength + echo_data.size());
+      break;
+    case IcmpType::kMaskRequest:
+    case IcmpType::kMaskReply:
+      writer.Reserve(kHeaderLength + 4);
+      break;
+    case IcmpType::kTimeExceeded:
+    case IcmpType::kDestUnreachable:
+      writer.Reserve(kHeaderLength + original_datagram.size());
+      break;
+  }
   writer.WriteU8(static_cast<uint8_t>(type));
   writer.WriteU8(code);
   const size_t checksum_offset = writer.size();

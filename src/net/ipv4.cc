@@ -4,6 +4,7 @@ namespace fremont {
 
 ByteBuffer Ipv4Packet::Encode() const {
   ByteWriter writer;
+  writer.Reserve(kHeaderLength + payload.size());
   writer.WriteU8(0x45);  // Version 4, IHL 5.
   writer.WriteU8(tos);
   writer.WriteU16(static_cast<uint16_t>(kHeaderLength + payload.size()));

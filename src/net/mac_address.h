@@ -48,6 +48,10 @@ class MacAddress {
   constexpr bool IsZero() const { return *this == MacAddress(); }
   constexpr bool IsMulticast() const { return (octets_[0] & 0x01) != 0; }
 
+  // Equality compares the packed value: segments test it on every delivery,
+  // and the defaulted form calls memcmp. Ordering stays lexicographic by
+  // octet, which the packed (big-endian) value would order the same way.
+  constexpr bool operator==(const MacAddress& other) const { return ToU64() == other.ToU64(); }
   constexpr auto operator<=>(const MacAddress&) const = default;
 
   // Packs into a uint64 (high 16 bits zero) for hashing and index keys.

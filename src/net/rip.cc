@@ -5,15 +5,18 @@ namespace {
 
 constexpr uint8_t kRipVersion1 = 1;
 constexpr uint16_t kAddressFamilyIp = 2;
+constexpr size_t kHeaderLength = 4;
+constexpr size_t kEntryLength = 20;
 
 }  // namespace
 
 ByteBuffer RipPacket::Encode() const {
+  const size_t count = entries.size() < kMaxEntries ? entries.size() : kMaxEntries;
   ByteWriter writer;
+  writer.Reserve(kHeaderLength + count * kEntryLength);
   writer.WriteU8(static_cast<uint8_t>(command));
   writer.WriteU8(kRipVersion1);
   writer.WriteU16(0);  // Must be zero.
-  size_t count = entries.size() < kMaxEntries ? entries.size() : kMaxEntries;
   for (size_t i = 0; i < count; ++i) {
     writer.WriteU16(kAddressFamilyIp);
     writer.WriteU16(0);
@@ -26,21 +29,30 @@ ByteBuffer RipPacket::Encode() const {
 }
 
 std::optional<RipPacket> RipPacket::Decode(const ByteBuffer& bytes) {
+  RipPacket packet;
+  if (!DecodeInto(bytes, &packet)) {
+    return std::nullopt;
+  }
+  return packet;
+}
+
+bool RipPacket::DecodeInto(const ByteBuffer& bytes, RipPacket* out) {
   ByteReader reader(bytes);
   uint8_t command = reader.ReadU8();
   uint8_t version = reader.ReadU8();
   reader.ReadU16();
   if (!reader.ok() || version != kRipVersion1) {
-    return std::nullopt;
+    return false;
   }
   if (command != static_cast<uint8_t>(RipCommand::kRequest) &&
       command != static_cast<uint8_t>(RipCommand::kResponse) &&
       command != static_cast<uint8_t>(RipCommand::kPoll)) {
-    return std::nullopt;
+    return false;
   }
-  RipPacket packet;
-  packet.command = static_cast<RipCommand>(command);
-  while (reader.remaining() >= 20) {
+  out->command = static_cast<RipCommand>(command);
+  out->entries.clear();
+  out->entries.reserve(reader.remaining() / kEntryLength);
+  while (reader.remaining() >= kEntryLength) {
     uint16_t family = reader.ReadU16();
     reader.ReadU16();
     uint32_t address = reader.ReadU32();
@@ -48,17 +60,14 @@ std::optional<RipPacket> RipPacket::Decode(const ByteBuffer& bytes) {
     reader.ReadU32();
     uint32_t metric = reader.ReadU32();
     if (!reader.ok()) {
-      return std::nullopt;
+      return false;
     }
     if (family != kAddressFamilyIp) {
       continue;  // Skip non-IP families, as routed does.
     }
-    packet.entries.push_back(RipEntry{Ipv4Address(address), metric});
+    out->entries.push_back(RipEntry{Ipv4Address(address), metric});
   }
-  if (reader.remaining() != 0) {
-    return std::nullopt;  // Trailing garbage.
-  }
-  return packet;
+  return reader.remaining() == 0;  // Anything left is trailing garbage.
 }
 
 }  // namespace fremont

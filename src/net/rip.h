@@ -39,6 +39,10 @@ struct RipPacket {
 
   ByteBuffer Encode() const;
   static std::optional<RipPacket> Decode(const ByteBuffer& bytes);
+  // Decode into `out`, reusing its entry storage: a receiver that keeps one
+  // packet grows no vector per datagram. Returns false on a malformed
+  // datagram, leaving `out` unspecified. Decode() is this on a fresh packet.
+  static bool DecodeInto(const ByteBuffer& bytes, RipPacket* out);
 };
 
 }  // namespace fremont

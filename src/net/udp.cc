@@ -4,6 +4,7 @@ namespace fremont {
 
 ByteBuffer UdpDatagram::Encode() const {
   ByteWriter writer;
+  writer.Reserve(kHeaderLength + payload.size());
   writer.WriteU16(src_port);
   writer.WriteU16(dst_port);
   writer.WriteU16(static_cast<uint16_t>(kHeaderLength + payload.size()));

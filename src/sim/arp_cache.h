@@ -9,7 +9,6 @@
 #define SRC_SIM_ARP_CACHE_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/ipv4_address.h"
@@ -38,8 +37,8 @@ class ArpCache {
 
   bool Contains(Ipv4Address ip, SimTime now) const { return Lookup(ip, now).has_value(); }
 
-  // Drops expired entries and returns the live table — what `arp -a` would
-  // print; EtherHostProbe reads this.
+  // Drops expired entries and returns the live table in ascending-IP order —
+  // what `arp -a` would print; EtherHostProbe reads this.
   std::vector<Entry> Snapshot(SimTime now) const;
 
   void Clear() { entries_.clear(); }
@@ -49,9 +48,14 @@ class ArpCache {
   bool Expired(const Entry& entry, SimTime now) const {
     return now - entry.last_updated > timeout_;
   }
+  // Position of the first entry whose IP is not below `ip`.
+  size_t LowerBound(Ipv4Address ip) const;
 
   Duration timeout_;
-  std::unordered_map<Ipv4Address, Entry> entries_;
+  // Sorted by IP: a cache holds only its host's on-link neighbours, so a
+  // binary search over one contiguous array beats a hash probe, and an
+  // insert's shift is paid once per new neighbour.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace fremont

@@ -238,7 +238,7 @@ void Host::TransmitFrame(Interface* iface, MacAddress dst, EtherType ethertype,
   frame.src = iface->mac;
   frame.ethertype = ethertype;
   frame.payload = std::move(payload);
-  iface->segment->Transmit(frame);
+  iface->segment->Transmit(std::move(frame));
 }
 
 void Host::OnFrame(Interface* iface, const FrameView& view) {
@@ -405,12 +405,6 @@ void Host::HandleIcmp(Interface* iface, const Ipv4Packet& packet, const IcmpMess
 }
 
 void Host::HandleUdp(Interface* iface, const Ipv4Packet& packet, const UdpDatagram& datagram) {
-  // The packet was already accepted as locally destined; anything that is
-  // not a broadcast counts as addressed to this host — including host-zero
-  // packets, which RFC 1122-era hosts treat as their own (the behaviour
-  // Fremont's traceroute exploits).
-  const bool addressed_to_us = !IsBroadcastDestination(packet.dst);
-
   if (auto it = udp_handlers_.find(datagram.dst_port); it != udp_handlers_.end()) {
     // Copy: event-driven Explorer Modules unbind their port from inside the
     // handler the moment the awaited reply arrives.
@@ -418,6 +412,12 @@ void Host::HandleUdp(Interface* iface, const Ipv4Packet& packet, const UdpDatagr
     handler(packet, datagram);
     return;
   }
+
+  // The packet was already accepted as locally destined; anything that is
+  // not a broadcast counts as addressed to this host — including host-zero
+  // packets, which RFC 1122-era hosts treat as their own (the behaviour
+  // Fremont's traceroute exploits).
+  const bool addressed_to_us = !IsBroadcastDestination(packet.dst);
 
   if (datagram.dst_port == kUdpEchoPort && config_.udp_echo_enabled && addressed_to_us) {
     SendUdp(packet.src, kUdpEchoPort, datagram.src_port, datagram.payload);

@@ -76,14 +76,33 @@ uint64_t RipDaemon::AdvertisedVersion() const {
   return router_ != nullptr ? router_->routing_table().version() : 0;
 }
 
-std::vector<ByteBuffer> RipDaemon::EncodeAdvertisement(const Interface* iface) const {
-  std::vector<RipEntry> entries;
+template <typename Emit>
+void RipDaemon::EncodeAdvertisement(const Interface* iface, Emit emit) const {
+  // RFC 1058: at most 25 routes per packet; large tables are split. Routes
+  // fill one packet at a time, encoded as it fills.
+  RipPacket chunk;
+  chunk.command = RipCommand::kResponse;
+  chunk.entries.reserve(RipPacket::kMaxEntries);
+  auto encode_chunk = [&chunk, &emit]() {
+    UdpDatagram datagram;
+    datagram.src_port = kRipPort;
+    datagram.dst_port = kRipPort;
+    datagram.payload = chunk.Encode();
+    emit(datagram.Encode());
+    chunk.entries.clear();
+  };
+  auto add = [&chunk, &encode_chunk](RipEntry entry) {
+    chunk.entries.push_back(entry);
+    if (chunk.entries.size() == RipPacket::kMaxEntries) {
+      encode_chunk();
+    }
+  };
+
   if (config_.promiscuous_rebroadcast) {
     // The fault: everything we ever heard, echoed back onto the wire with an
     // incremented metric, including routes learned from this same subnet.
     for (const auto& [address, metric] : heard_routes_) {
-      entries.push_back(
-          RipEntry{Ipv4Address(address), std::min<uint32_t>(metric + 1, kRipMetricInfinity)});
+      add(RipEntry{Ipv4Address(address), std::min<uint32_t>(metric + 1, kRipMetricInfinity)});
     }
   } else if (router_ != nullptr) {
     for (const auto& route : router_->routing_table().entries()) {
@@ -95,38 +114,41 @@ std::vector<ByteBuffer> RipDaemon::EncodeAdvertisement(const Interface* iface) c
       if (route.out_iface == iface) {
         continue;
       }
-      entries.push_back(RipEntry{route.destination.network(), route.metric});
+      add(RipEntry{route.destination.network(), route.metric});
     }
   }
-
-  // RFC 1058: at most 25 routes per packet; split large tables.
-  std::vector<ByteBuffer> datagrams;
-  for (size_t begin = 0; begin < entries.size(); begin += RipPacket::kMaxEntries) {
-    RipPacket chunk;
-    chunk.command = RipCommand::kResponse;
-    const size_t end = std::min(begin + RipPacket::kMaxEntries, entries.size());
-    chunk.entries.assign(entries.begin() + begin, entries.begin() + end);
-    UdpDatagram datagram;
-    datagram.src_port = kRipPort;
-    datagram.dst_port = kRipPort;
-    datagram.payload = chunk.Encode();
-    datagrams.push_back(datagram.Encode());
+  if (!chunk.entries.empty()) {
+    encode_chunk();
   }
-  return datagrams;
+}
+
+bool RipDaemon::IsCurrentAdvertisement(const Interface* iface,
+                                       const std::vector<ByteBuffer>& datagrams) const {
+  size_t emitted = 0;
+  bool same = true;
+  EncodeAdvertisement(iface, [&datagrams, &emitted, &same](const ByteBuffer& datagram) {
+    same = same && emitted < datagrams.size() && datagrams[emitted] == datagram;
+    ++emitted;
+  });
+  return same && emitted == datagrams.size();
 }
 
 void RipDaemon::AdvertiseOn(Interface* iface) {
   const uint64_t version = AdvertisedVersion();
   auto cached = std::find_if(advertisements_.begin(), advertisements_.end(),
                              [iface](const CachedAdvertisement& c) { return c.iface == iface; });
-  if (cached == advertisements_.end()) {
-    advertisements_.push_back(CachedAdvertisement{iface, version, EncodeAdvertisement(iface)});
-    cached = advertisements_.end() - 1;
-  } else if (cached->version != version) {
+  const bool fresh = cached == advertisements_.end();
+  if (fresh) {
+    cached = advertisements_.insert(advertisements_.end(), CachedAdvertisement{iface, version, {}});
+  }
+  if (fresh || cached->version != version) {
     cached->version = version;
-    cached->datagrams = EncodeAdvertisement(iface);
+    cached->datagrams.clear();
+    EncodeAdvertisement(iface, [&cached](ByteBuffer datagram) {
+      cached->datagrams.push_back(std::move(datagram));
+    });
   } else {
-    FREMONT_AUDIT_CHECK(cached->datagrams == EncodeAdvertisement(iface),
+    FREMONT_AUDIT_CHECK(IsCurrentAdvertisement(iface, cached->datagrams),
                         StringPrintf("%s: cached RIP advertisement on %s is stale at version %llu",
                                      host_->name().c_str(), iface->ip.ToString().c_str(),
                                      static_cast<unsigned long long>(version)));
@@ -146,8 +168,9 @@ void RipDaemon::AdvertiseOn(Interface* iface) {
       host_->SendIpPacket(std::move(out));
     } else {
       Host* host = host_;
-      host_->events()->Schedule(Duration::Millis(3 * static_cast<int64_t>(i)),
-                                [host, out]() { host->SendIpPacket(out); });
+      host_->events()->Schedule(
+          Duration::Millis(3 * static_cast<int64_t>(i)),
+          [host, out = std::move(out)]() mutable { host->SendIpPacket(std::move(out)); });
     }
     ++advertisements_sent_;
   }
@@ -165,12 +188,11 @@ Subnet RipDaemon::InferSubnet(Ipv4Address advertised, Interface* iface) const {
 }
 
 void RipDaemon::OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagram) {
-  auto rip = RipPacket::Decode(datagram.payload);
-  if (!rip.has_value()) {
+  if (!RipPacket::DecodeInto(datagram.payload, &received_)) {
     return;
   }
 
-  if (rip->command == RipCommand::kRequest || rip->command == RipCommand::kPoll) {
+  if (received_.command == RipCommand::kRequest || received_.command == RipCommand::kPoll) {
     if (!config_.respond_to_requests || router_ == nullptr) {
       return;
     }
@@ -197,11 +219,11 @@ void RipDaemon::OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagra
         host_->SendUdp(requester, kRipPort, reply_port, reply.Encode());
       } else {
         Host* host = host_;
-        ByteBuffer bytes = reply.Encode();
-        host_->events()->Schedule(Duration::Millis(3 * chunk_index),
-                                  [host, requester, reply_port, bytes]() {
-                                    host->SendUdp(requester, kRipPort, reply_port, bytes);
-                                  });
+        host_->events()->Schedule(
+            Duration::Millis(3 * chunk_index),
+            [host, requester, reply_port, bytes = reply.Encode()]() mutable {
+              host->SendUdp(requester, kRipPort, reply_port, std::move(bytes));
+            });
       }
       ++chunk_index;
       ++advertisements_sent_;
@@ -221,7 +243,7 @@ void RipDaemon::OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagra
     return;
   }
 
-  for (const auto& entry : rip->entries) {
+  for (const auto& entry : received_.entries) {
     if (config_.promiscuous_rebroadcast) {
       auto it = heard_routes_.find(entry.address.value());
       if (it == heard_routes_.end() || entry.metric < it->second) {

@@ -52,9 +52,15 @@ class RipDaemon {
   void OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagram);
   void Advertise();
   void AdvertiseOn(Interface* iface);
-  // What AdvertiseOn would put on `iface`'s wire now: one encoded UDP
-  // datagram per RIP packet of at most 25 routes.
-  std::vector<ByteBuffer> EncodeAdvertisement(const Interface* iface) const;
+  // Hands `emit` each encoded UDP datagram AdvertiseOn would put on
+  // `iface`'s wire now: one per RIP packet of at most 25 routes.
+  template <typename Emit>
+  void EncodeAdvertisement(const Interface* iface, Emit emit) const;
+  // True when `datagrams` is exactly what EncodeAdvertisement emits now. The
+  // FREMONT_AUDIT check on every cache hit; it compares each datagram as it
+  // is encoded instead of building a second copy of the advertisement.
+  bool IsCurrentAdvertisement(const Interface* iface,
+                              const std::vector<ByteBuffer>& datagrams) const;
   // Stamp of the state an advertisement is built from: the routing table's
   // version, or in promiscuous mode the heard_routes_ version.
   uint64_t AdvertisedVersion() const;
@@ -75,6 +81,11 @@ class RipDaemon {
   // destroyed (or stopped) daemon turns pending events into no-ops instead
   // of dangling-pointer calls.
   std::shared_ptr<RipDaemon*> liveness_;
+
+  // The last datagram received, decoded in place: every backbone
+  // advertisement reaches dozens of routers, and reusing one packet's entry
+  // storage spares each of them a fresh vector.
+  RipPacket received_;
 
   // Promiscuous mode: everything heard, keyed by address, value = metric.
   std::map<uint32_t, uint32_t> heard_routes_;

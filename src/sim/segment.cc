@@ -63,7 +63,7 @@ int Segment::ConcurrentTransmissions(MacAddress src) {
   return contenders;
 }
 
-void Segment::Transmit(const EthernetFrame& frame) {
+void Segment::Transmit(EthernetFrame frame) {
   // A sender on another shard hops onto this segment's shard first: the
   // collision window, stats, and the segment's RNG draw all belong to this
   // shard and must not run remotely. The hop becomes runnable at the next
@@ -71,13 +71,14 @@ void Segment::Transmit(const EthernetFrame& frame) {
   if (runtime_ != nullptr && ShardedEventQueue::CurrentShard() != shard_) {
     const EventQueue* sender = ShardedEventQueue::CurrentQueue();
     const SimTime when = sender != nullptr ? sender->Now() : runtime_->Now();
-    runtime_->Post(shard_, when, [this, frame]() { TransmitLocal(frame); });
+    runtime_->Post(shard_, when,
+                   [this, frame = std::move(frame)]() mutable { TransmitLocal(std::move(frame)); });
     return;
   }
-  TransmitLocal(frame);
+  TransmitLocal(std::move(frame));
 }
 
-void Segment::TransmitLocal(const EthernetFrame& frame) {
+void Segment::TransmitLocal(EthernetFrame frame) {
   ++stats_.frames_sent;
   stats_.bytes_sent += 14 + frame.payload.size();
 
@@ -90,8 +91,8 @@ void Segment::TransmitLocal(const EthernetFrame& frame) {
     }
   }
 
-  // Copy the frame into the closure; delivery happens after the latency.
-  events_->Schedule(params_.latency, [this, frame]() {
+  // The frame moves into the closure; delivery happens after the latency.
+  events_->Schedule(params_.latency, [this, frame = std::move(frame)]() {
     for (const auto& [token, tap] : taps_) {
       (void)token;
       tap(frame, events_->Now());

@@ -130,8 +130,10 @@ class Segment {
   const std::vector<Interface*>& interfaces() const { return interfaces_; }
 
   // Transmits a frame. Delivery to each receiver is scheduled after the
-  // segment latency; the collision model may drop the frame entirely.
-  void Transmit(const EthernetFrame& frame);
+  // segment latency; the collision model may drop the frame entirely. The
+  // frame moves into the delivery event, so a sender that is done with it
+  // passes it with std::move and its payload is never copied.
+  void Transmit(EthernetFrame frame);
 
   // Promiscuous taps (the NIT). Returns a token for RemoveTap.
   using TapFn = std::function<void(const EthernetFrame&, SimTime)>;
@@ -151,7 +153,7 @@ class Segment {
 
   // The single-shard transmit path: collision model + delivery scheduling.
   // Must execute on this segment's shard.
-  void TransmitLocal(const EthernetFrame& frame);
+  void TransmitLocal(EthernetFrame frame);
   // Hands the frame to one receiver, hopping shards if the owner is remote.
   void DeliverTo(Interface* iface, const FrameView& view);
 

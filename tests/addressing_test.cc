@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/net/ipv4_address.h"
 #include "src/net/mac_address.h"
 #include "src/net/oui.h"
+#include "src/util/rng.h"
 
 namespace fremont {
 namespace {
@@ -44,6 +48,65 @@ TEST(MacAddressTest, OrderingAndPacking) {
   const MacAddress b = MacAddress::FromOui(kOuiSun, 2);
   EXPECT_LT(a, b);
   EXPECT_EQ(a.ToU64() + 1, b.ToU64());
+}
+
+// MacAddress's == compares the packed value while <=> stays the defaulted
+// octet-wise ordering; all three operators must agree with the octets.
+void ExpectComparisonsAgree(const MacAddress& a, const MacAddress& b) {
+  const bool same_octets = a.octets() == b.octets();
+  const bool octets_less = std::lexicographical_compare(a.octets().begin(), a.octets().end(),
+                                                        b.octets().begin(), b.octets().end());
+  EXPECT_EQ(a == b, same_octets) << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ(a != b, !same_octets) << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ((a <=> b) == 0, same_octets) << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ((a <=> b) < 0, octets_less) << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ(a < b, a.ToU64() < b.ToU64()) << a.ToString() << " vs " << b.ToString();
+}
+
+TEST(MacAddressTest, EqualityAndOrderingAgreeOnSpecialAndRandomPairs) {
+  const std::vector<MacAddress> specials = {
+      MacAddress::Broadcast(),
+      MacAddress::Zero(),
+      MacAddress(0x01, 0x00, 0x5e, 0x00, 0x00, 0x01),  // IPv4 multicast.
+      MacAddress(0xff, 0xff, 0xff, 0xff, 0xff, 0xfe),
+      MacAddress(0x00, 0x00, 0x00, 0x00, 0x00, 0x01),
+      MacAddress(0x80, 0x00, 0x00, 0x00, 0x00, 0x00),
+      MacAddress::FromOui(kOuiSun, 1),
+  };
+  for (const MacAddress& a : specials) {
+    for (const MacAddress& b : specials) {
+      ExpectComparisonsAgree(a, b);
+    }
+  }
+
+  Rng rng(1993);
+  auto random_mac = [&rng]() {
+    std::array<uint8_t, 6> octets;
+    for (uint8_t& octet : octets) {
+      octet = static_cast<uint8_t>(rng.Uniform(0, 255));
+    }
+    return MacAddress(octets);
+  };
+  for (int i = 0; i < 5000; ++i) {
+    const MacAddress a = random_mac();
+    // Equal pairs and pairs differing in one octet are where a wrong
+    // comparison would hide, so most pairs are derived from `a`.
+    std::array<uint8_t, 6> octets = a.octets();
+    switch (rng.Uniform(0, 2)) {
+      case 0:
+        break;
+      case 1:
+        octets[static_cast<size_t>(rng.Uniform(0, 5))] ^=
+            static_cast<uint8_t>(1u << rng.Uniform(0, 7));
+        break;
+      default:
+        octets = random_mac().octets();
+        break;
+    }
+    ExpectComparisonsAgree(a, MacAddress(octets));
+    ExpectComparisonsAgree(a, specials[static_cast<size_t>(
+                                  rng.Uniform(0, static_cast<int64_t>(specials.size()) - 1))]);
+  }
 }
 
 TEST(OuiTest, VendorLookup) {

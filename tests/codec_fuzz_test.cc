@@ -5,6 +5,8 @@
 //   2. Robustness: Decode of random garbage, random truncations, and random
 //      single-byte corruptions never crashes, and for checksummed protocols
 //      corruption is detected.
+//   3. Parity: RipPacket::DecodeInto into a reused packet accepts, rejects
+//      and yields exactly what Decode does.
 //
 // Each property runs across several RNG seeds via parameterized gtest.
 
@@ -258,6 +260,76 @@ TEST_P(CodecFuzzTest, DecodersNeverCrashOnTruncations) {
   for (size_t len = 1; len < rip_full.size(); ++len) {
     ByteBuffer truncated(rip_full.begin(), rip_full.begin() + static_cast<long>(len));
     (void)RipPacket::Decode(truncated);  // Must not crash (short ones reject).
+  }
+}
+
+RipPacket RandomRipPacket(Rng& rng, int entries) {
+  RipPacket packet;
+  packet.command = rng.Bernoulli(0.8) ? RipCommand::kResponse : RipCommand::kRequest;
+  for (int e = 0; e < entries; ++e) {
+    packet.entries.push_back(RipEntry{RandomIp(rng), static_cast<uint32_t>(rng.Uniform(1, 16))});
+  }
+  return packet;
+}
+
+// DecodeInto a packet still holding an earlier 25-entry decode must accept
+// exactly what Decode accepts and leave exactly Decode's command and entries.
+void ExpectDecodeIntoMatchesDecode(const ByteBuffer& bytes, const RipPacket& earlier) {
+  RipPacket reused = earlier;
+  const std::optional<RipPacket> fresh = RipPacket::Decode(bytes);
+  const bool accepted = RipPacket::DecodeInto(bytes, &reused);
+  ASSERT_EQ(accepted, fresh.has_value()) << BytesToHex(bytes.data(), bytes.size());
+  if (!accepted) {
+    return;
+  }
+  EXPECT_EQ(reused.command, fresh->command);
+  ASSERT_EQ(reused.entries.size(), fresh->entries.size());
+  for (size_t e = 0; e < fresh->entries.size(); ++e) {
+    EXPECT_EQ(reused.entries[e].address, fresh->entries[e].address);
+    EXPECT_EQ(reused.entries[e].metric, fresh->entries[e].metric);
+  }
+}
+
+TEST_P(CodecFuzzTest, RipDecodeIntoReusedPacketMatchesDecode) {
+  Rng rng(GetParam());
+  RipPacket earlier;
+  ASSERT_TRUE(RipPacket::DecodeInto(RandomRipPacket(rng, 25).Encode(), &earlier));
+  ASSERT_EQ(earlier.entries.size(), 25u);
+
+  for (int i = 0; i < 500; ++i) {
+    // Well-formed packets of every size, some with non-IP address families
+    // (skipped by both) and some with a byte corrupted or a tail appended.
+    ByteBuffer bytes = RandomRipPacket(rng, static_cast<int>(rng.Uniform(0, 25))).Encode();
+    for (size_t offset = 4; offset + 20 <= bytes.size(); offset += 20) {
+      if (rng.Bernoulli(0.2)) {
+        bytes[offset + 1] = static_cast<uint8_t>(rng.Uniform(0, 255));
+      }
+    }
+    ExpectDecodeIntoMatchesDecode(bytes, earlier);
+    if (!bytes.empty()) {
+      ByteBuffer corrupted = bytes;
+      corrupted[static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(bytes.size()) - 1))] ^=
+          static_cast<uint8_t>(rng.Uniform(1, 255));
+      ExpectDecodeIntoMatchesDecode(corrupted, earlier);
+    }
+    ByteBuffer tailed = bytes;
+    const ByteBuffer tail = RandomPayload(rng, 40);
+    tailed.insert(tailed.end(), tail.begin(), tail.end());
+    ExpectDecodeIntoMatchesDecode(tailed, earlier);
+
+    // Garbage, alone and behind a valid RIPv1 header.
+    const ByteBuffer garbage = RandomPayload(rng, 96);
+    ExpectDecodeIntoMatchesDecode(garbage, earlier);
+    ByteBuffer headed = {static_cast<uint8_t>(RipCommand::kResponse), 1, 0, 0};
+    headed.insert(headed.end(), garbage.begin(), garbage.end());
+    ExpectDecodeIntoMatchesDecode(headed, earlier);
+  }
+
+  // A full packet truncated at every length.
+  const ByteBuffer full = RandomRipPacket(rng, 25).Encode();
+  for (size_t len = 0; len <= full.size(); ++len) {
+    ExpectDecodeIntoMatchesDecode(ByteBuffer(full.begin(), full.begin() + static_cast<long>(len)),
+                                  earlier);
   }
 }
 

@@ -297,6 +297,38 @@ TEST(JournalTelemetryTest, V2InstrumentsCoverBatchingCachingAndScratchReuse) {
   EXPECT_GT(metrics.counters().at("journal_client/encode_bytes_reused").value(), 0u);
 }
 
+// The server resolves its per-op counter and latency histogram once per
+// request type: each request lands on its own type's pair, and a type never
+// handled registers nothing, so the export gains no zero-valued instruments.
+TEST(JournalTelemetryTest, PerOpInstrumentsCountEachTypeAndRegisterOnlyHandledTypes) {
+  auto& metrics = MetricsRegistry::Global();
+  metrics.Reset();
+
+  JournalServer server([]() { return SimTime::Epoch(); });
+  for (uint32_t i = 0; i < 3; ++i) {
+    InterfaceObservation obs;
+    obs.ip = Ipv4Address(0x80800000u + i);
+    JournalRequest store;
+    store.type = RequestType::kStoreInterface;
+    store.interface_obs = obs;
+    store.source = DiscoverySource::kArpWatch;
+    server.Handle(store);
+  }
+  JournalRequest stats;
+  stats.type = RequestType::kGetStats;
+  for (int i = 0; i < 2; ++i) {
+    server.Handle(stats);
+  }
+
+  const MutexLock lock(metrics.export_mutex());
+  EXPECT_EQ(metrics.counters().at("journal_server/ops_store_interface").value(), 3u);
+  EXPECT_EQ(metrics.counters().at("journal_server/ops_get_stats").value(), 2u);
+  EXPECT_EQ(metrics.histograms().at("journal_server/op_latency_us/store_interface").count(), 3u);
+  EXPECT_EQ(metrics.histograms().at("journal_server/op_latency_us/get_stats").count(), 2u);
+  EXPECT_EQ(metrics.counters().count("journal_server/ops_delete_subnet"), 0u);
+  EXPECT_EQ(metrics.histograms().count("journal_server/op_latency_us/delete_subnet"), 0u);
+}
+
 TEST(ExportTest, TextDumpListsEveryInstrument) {
   MetricsRegistry registry;
   registry.GetCounter("m/c")->Add(3);
