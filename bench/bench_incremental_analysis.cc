@@ -27,6 +27,14 @@
 namespace fremont {
 namespace {
 
+// Bench-only series.
+constexpr telemetry::MetricName kIncrementalSpeedupX100{"bench/incremental_speedup_x100"};
+constexpr telemetry::MetricName kIncrementalWireReductionX100{
+    "bench/incremental_wire_reduction_x100"};
+constexpr telemetry::MetricName kWireBytesFull50Passes{"bench/wire_bytes_full_50_passes"};
+constexpr telemetry::MetricName kWireBytesIncremental50Passes{
+    "bench/wire_bytes_incremental_50_passes"};
+
 // Campus-scale working set: 100 subnets of 6 hosts each, plus 20 two-armed
 // routers whose shared MACs give Correlate real gateway groups to infer.
 constexpr uint32_t kSubnets = 100;
@@ -131,8 +139,9 @@ BENCHMARK(BM_IncrementalRepeatedAnalysis)->MinTime(2.0);
 void RecordWireBytes() {
   auto& metrics = telemetry::MetricsRegistry::Global();
   auto bytes_now = [&metrics]() {
-    return static_cast<int64_t>(metrics.GetCounter("journal_client/bytes_sent")->value() +
-                                metrics.GetCounter("journal_client/bytes_received")->value());
+    return static_cast<int64_t>(
+        metrics.GetCounter(telemetry::names::kJournalClientBytesSent)->value() +
+        metrics.GetCounter(telemetry::names::kJournalClientBytesReceived)->value());
   };
   constexpr uint32_t kPasses = 50;
 
@@ -168,11 +177,10 @@ void RecordWireBytes() {
     incremental_bytes = bytes_now() - before;
   }
 
-  metrics.GetCounter("bench/wire_bytes_full_50_passes")->Add(full_bytes);
-  metrics.GetCounter("bench/wire_bytes_incremental_50_passes")->Add(incremental_bytes);
+  metrics.GetCounter(kWireBytesFull50Passes)->Add(full_bytes);
+  metrics.GetCounter(kWireBytesIncremental50Passes)->Add(incremental_bytes);
   if (incremental_bytes > 0) {
-    metrics.GetCounter("bench/incremental_wire_reduction_x100")
-        ->Add(full_bytes * 100 / incremental_bytes);
+    metrics.GetCounter(kIncrementalWireReductionX100)->Add(full_bytes * 100 / incremental_bytes);
   }
 }
 
@@ -200,17 +208,18 @@ int main(int argc, char** argv) {
   }
   if (full_ns > 0.0 && incremental_ns > 0.0) {
     fremont::telemetry::MetricsRegistry::Global()
-        .GetCounter("bench/incremental_speedup_x100")
+        .GetCounter(fremont::kIncrementalSpeedupX100)
         ->Add(static_cast<int64_t>(full_ns / incremental_ns * 100.0));
   }
+  namespace names = fremont::telemetry::names;
   fremont::benchjson::WriteBenchJson(
       "BENCH_incremental_analysis.json", reporter.results(),
-      {"bench/incremental_speedup_x100", "bench/incremental_wire_reduction_x100",
-       "bench/wire_bytes_full_50_passes", "bench/wire_bytes_incremental_50_passes",
-       "journal_server/delta_ops", "journal_client/delta_records",
-       "journal_client/full_resyncs", "correlate/incremental_passes",
-       "correlate/records_skipped", "correlate/full_rebuilds",
-       "journal_client/bytes_sent", "journal_client/bytes_received"});
+      {fremont::kIncrementalSpeedupX100, fremont::kIncrementalWireReductionX100,
+       fremont::kWireBytesFull50Passes, fremont::kWireBytesIncremental50Passes,
+       names::kJournalServerDeltaOps, names::kJournalClientDeltaRecords,
+       names::kJournalClientFullResyncs, names::kCorrelateIncrementalPasses,
+       names::kCorrelateRecordsSkipped, names::kCorrelateFullRebuilds,
+       names::kJournalClientBytesSent, names::kJournalClientBytesReceived});
   benchmark::Shutdown();
   return 0;
 }

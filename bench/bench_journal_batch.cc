@@ -18,6 +18,11 @@
 namespace fremont {
 namespace {
 
+// Bench-only series.
+constexpr telemetry::MetricName kReverifyBatch64SpeedupX100{"bench/reverify_batch64_speedup_x100"};
+constexpr telemetry::MetricName kWireBytesV164Stores{"bench/wire_bytes_v1_64_stores"};
+constexpr telemetry::MetricName kWireBytesV2Batch64{"bench/wire_bytes_v2_batch64"};
+
 InterfaceObservation MakeObs(uint32_t i) {
   InterfaceObservation obs;
   obs.ip = Ipv4Address(0x808a0000u + i);
@@ -189,8 +194,8 @@ void RecordWireBytes() {
   int64_t v2_bytes = static_cast<int64_t>(wire.size());
   v2_bytes += static_cast<int64_t>(server.HandleRequest(wire).size());
 
-  metrics.GetCounter("bench/wire_bytes_v1_64_stores")->Add(v1_bytes);
-  metrics.GetCounter("bench/wire_bytes_v2_batch64")->Add(v2_bytes);
+  metrics.GetCounter(kWireBytesV164Stores)->Add(v1_bytes);
+  metrics.GetCounter(kWireBytesV2Batch64)->Add(v2_bytes);
 }
 
 }  // namespace
@@ -217,16 +222,17 @@ int main(int argc, char** argv) {
   }
   if (v1_ns > 0.0 && v2_ns > 0.0) {
     fremont::telemetry::MetricsRegistry::Global()
-        .GetCounter("bench/reverify_batch64_speedup_x100")
+        .GetCounter(fremont::kReverifyBatch64SpeedupX100)
         ->Add(static_cast<int64_t>(v1_ns / v2_ns * 100.0));
   }
+  namespace names = fremont::telemetry::names;
   fremont::benchjson::WriteBenchJson(
       "BENCH_journal_batch.json", reporter.results(),
-      {"bench/reverify_batch64_speedup_x100", "bench/wire_bytes_v1_64_stores",
-       "bench/wire_bytes_v2_batch64", "journal_client/requests", "journal_client/bytes_sent",
-       "journal_client/bytes_received", "journal_client/cache_hits",
-       "journal_client/cache_misses", "journal_client/encode_bytes_reused",
-       "journal_server/batch_ops"});
+      {fremont::kReverifyBatch64SpeedupX100, fremont::kWireBytesV164Stores,
+       fremont::kWireBytesV2Batch64, names::kJournalClientRequests, names::kJournalClientBytesSent,
+       names::kJournalClientBytesReceived, names::kJournalClientCacheHits,
+       names::kJournalClientCacheMisses, names::kJournalClientEncodeBytesReused,
+       names::kJournalServerBatchOps});
   benchmark::Shutdown();
   return 0;
 }

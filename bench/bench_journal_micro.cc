@@ -173,11 +173,14 @@ int main(int argc, char** argv) {
   }
   fremont::benchjson::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  namespace names = fremont::telemetry::names;
   fremont::benchjson::WriteBenchJson(
       "BENCH_journal_micro.json", reporter.results(),
-      {"journal_client/requests", "journal_client/bytes_sent", "journal_client/bytes_received",
-       "journal_server/ops_store_interface", "journal_server/records_created",
-       "journal_server/records_changed"});
+      {names::kJournalClientRequests, names::kJournalClientBytesSent,
+       names::kJournalClientBytesReceived,
+       names::kJournalServerOps.WithKey(
+           fremont::RequestTypeName(fremont::RequestType::kStoreInterface)),
+       names::kJournalServerRecordsCreated, names::kJournalServerRecordsChanged});
   benchmark::Shutdown();
   return 0;
 }

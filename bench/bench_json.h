@@ -55,7 +55,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 // Writes BENCH_<name>.json. `counter_names` selects which telemetry counters
 // to embed (their totals over every benchmark iteration in the process).
 inline bool WriteBenchJson(const std::string& path, const std::vector<BenchResult>& results,
-                           const std::vector<std::string>& counter_names) {
+                           const std::vector<telemetry::MetricName>& counter_names) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_json: cannot write %s\n", path.c_str());
@@ -71,7 +71,7 @@ inline bool WriteBenchJson(const std::string& path, const std::vector<BenchResul
   auto& registry = telemetry::MetricsRegistry::Global();
   for (size_t i = 0; i < counter_names.size(); ++i) {
     std::fprintf(out, "%s\"%s\": %llu", i == 0 ? "" : ", ",
-                 telemetry::JsonEscape(counter_names[i]).c_str(),
+                 telemetry::JsonEscape(counter_names[i].c_str()).c_str(),
                  static_cast<unsigned long long>(registry.GetCounter(counter_names[i])->value()));
   }
   std::fprintf(out, "}}\n");

@@ -88,10 +88,12 @@ int main(int argc, char** argv) {
   }
   fremont::benchjson::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  namespace names = fremont::telemetry::names;
   fremont::benchjson::WriteBenchJson(
       "BENCH_sim_scale.json", reporter.results(),
-      {"sim/events_dispatched", "traceroute/packets_sent", "traceroute/replies_received",
-       "ripwatch/runs", "journal_client/requests"});
+      {names::kSimEventsDispatched, names::kModulePacketsSent.WithKey("traceroute"),
+       names::kModuleRepliesReceived.WithKey("traceroute"), names::kModuleRuns.WithKey("ripwatch"),
+       names::kJournalClientRequests});
   benchmark::Shutdown();
   return 0;
 }

@@ -24,19 +24,19 @@ namespace {
 // <key>/new_info) plus the <key>/run_duration_us histogram into the global
 // registry. The run's trace events come from the run span, not from here.
 void RecordModuleReport(const std::string& key, const ExplorerReport& report) {
+  namespace names = telemetry::names;
   auto& registry = telemetry::MetricsRegistry::Global();
-  registry.GetCounter(key + telemetry::names::kSuffixRuns)->Increment();
-  registry.GetCounter(key + telemetry::names::kSuffixPacketsSent)->Add(report.packets_sent);
-  registry.GetCounter(key + telemetry::names::kSuffixRepliesReceived)->Add(report.replies_received);
-  registry.GetCounter(key + telemetry::names::kSuffixDiscovered)
+  registry.GetCounter(names::kModuleRuns.WithKey(key))->Increment();
+  registry.GetCounter(names::kModulePacketsSent.WithKey(key))->Add(report.packets_sent);
+  registry.GetCounter(names::kModuleRepliesReceived.WithKey(key))->Add(report.replies_received);
+  registry.GetCounter(names::kModuleDiscovered.WithKey(key))
       ->Add(static_cast<uint64_t>(report.discovered > 0 ? report.discovered : 0));
-  registry.GetCounter(key + telemetry::names::kSuffixRecordsWritten)
+  registry.GetCounter(names::kModuleRecordsWritten.WithKey(key))
       ->Add(static_cast<uint64_t>(report.records_written > 0 ? report.records_written : 0));
-  registry.GetCounter(key + telemetry::names::kSuffixNewInfo)
+  registry.GetCounter(names::kModuleNewInfo.WithKey(key))
       ->Add(static_cast<uint64_t>(report.new_info > 0 ? report.new_info : 0));
   registry
-      .GetHistogram(key + telemetry::names::kSuffixRunDurationUs,
-                    telemetry::DurationBucketsMicros())
+      .GetHistogram(names::kModuleRunDurationUs.WithKey(key), telemetry::DurationBucketsMicros())
       ->Observe(report.Elapsed().ToMicros());
 }
 
@@ -65,7 +65,7 @@ void ExplorerModule::Start(CompletionFn done) {
   // make_current = false: the run outlives this call. The span still parents
   // on whatever is current here (the Discovery Manager's tick span), and
   // ScheduleGuarded re-activates it for each of the run's events.
-  run_span_.emplace(telemetry::SpanName::ModuleRun(key_), report_.started,
+  run_span_.emplace(telemetry::names::kSpanModuleRun.WithKey(key_), report_.started,
                     telemetry::Tracer::Global(), telemetry::SpanContext{},
                     /*make_current=*/false);
   run_span_->RecordStart(telemetry::TraceEventKind::kModuleRunStart);

@@ -1,6 +1,7 @@
 #include "src/explorer/service_probe.h"
 
 #include "src/net/dns.h"
+#include "src/net/icmp.h"
 #include "src/net/rip.h"
 #include "src/net/udp.h"
 #include "src/telemetry/metrics.h"
@@ -11,22 +12,6 @@ namespace fremont {
 namespace {
 
 constexpr uint16_t kProbeSrcPort = 31007;
-
-// Pulls the UDP port pair out of an ICMP error's quoted original datagram.
-// The quote is truncated to IP header + 8 bytes (RFC 792), so the IP
-// total-length field exceeds the quoted bytes and the strict
-// Ipv4Packet::Decode rejects it for any probe that carried a payload; read
-// the fields positionally instead.
-bool QuotedUdpPorts(const ByteBuffer& quoted, uint16_t* src_port, uint16_t* dst_port) {
-  if (quoted.size() < Ipv4Packet::kHeaderLength + 4 || quoted[0] != 0x45 ||
-      quoted[9] != static_cast<uint8_t>(IpProtocol::kUdp)) {
-    return false;
-  }
-  ByteReader reader(quoted.data() + Ipv4Packet::kHeaderLength, 4);
-  *src_port = reader.ReadU16();
-  *dst_port = reader.ReadU16();
-  return reader.ok();
-}
 
 uint16_t ServicePort(KnownService service) {
   switch (service) {
@@ -156,12 +141,8 @@ void ServiceProbe::ProbeNext(size_t target_index, size_t service_index) {
         // *this* probe. Concurrent modules — EtherHostProbe sweeps,
         // traceroute's high-port probes — elicit Port Unreachables from the
         // same hosts, and those must not settle our verdict as absent.
-        uint16_t orig_src_port = 0;
-        uint16_t orig_dst_port = 0;
-        if (!QuotedUdpPorts(message.original_datagram, &orig_src_port, &orig_dst_port)) {
-          return;
-        }
-        if (orig_src_port == kProbeSrcPort && orig_dst_port == port) {
+        const std::optional<UdpPorts> quoted = QuotedUdpPorts(message.original_datagram);
+        if (quoted.has_value() && quoted->src == kProbeSrcPort && quoted->dst == port) {
           settle(Verdict::kAbsent);
         }
       });

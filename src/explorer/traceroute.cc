@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/net/icmp.h"
 #include "src/net/udp.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
@@ -206,18 +207,13 @@ void Traceroute::OnIcmp(const Ipv4Packet& packet, const IcmpMessage& message) {
   if (message.type != IcmpType::kTimeExceeded && message.type != IcmpType::kDestUnreachable) {
     return;
   }
-  // Match the reply to its probe via the embedded original datagram: IP
-  // header + first 8 payload bytes (the UDP header).
-  auto original = Ipv4Packet::Decode(message.original_datagram);
-  uint16_t dst_port = 0;
-  if (original.has_value() && original->payload.size() >= 4) {
-    ByteReader reader(original->payload);
-    reader.ReadU16();  // Source port.
-    dst_port = reader.ReadU16();
-  } else {
+  // Match the reply to its probe by the destination port of the quoted
+  // original datagram.
+  const std::optional<UdpPorts> quoted = QuotedUdpPorts(message.original_datagram);
+  if (!quoted.has_value()) {
     return;
   }
-  auto it = outstanding_.find(dst_port);
+  auto it = outstanding_.find(quoted->dst);
   if (it == outstanding_.end()) {
     return;
   }

@@ -888,6 +888,9 @@ bool Journal::DecodeAll(ByteReader& reader) {
   if (reader.ReadU32() != kJournalMagic || reader.ReadU16() != kJournalVersion) {
     return false;
   }
+  // Any bad record rejects the whole snapshot, leaving this Journal as it
+  // was: a duplicated id would otherwise load with one record missing, and
+  // a next id at or below a loaded id would hand that id out again.
   Journal fresh;
   uint32_t n_interfaces = reader.ReadU32();
   for (uint32_t i = 0; i < n_interfaces; ++i) {
@@ -895,18 +898,19 @@ bool Journal::DecodeAll(ByteReader& reader) {
     if (!rec.has_value()) {
       return false;
     }
-    RecordId id = rec->id;
-    fresh.IndexInterface(*rec);
-    fresh.interfaces_.emplace(id, std::move(*rec));
-    fresh.TouchInterface(id);
+    const auto [it, inserted] = fresh.interfaces_.emplace(rec->id, std::move(*rec));
+    if (!inserted) {
+      return false;
+    }
+    fresh.IndexInterface(it->second);
+    fresh.TouchInterface(it->first);
   }
   uint32_t n_gateways = reader.ReadU32();
   for (uint32_t i = 0; i < n_gateways; ++i) {
     auto rec = GatewayRecord::Decode(reader);
-    if (!rec.has_value()) {
+    if (!rec.has_value() || !fresh.gateways_.emplace(rec->id, std::move(*rec)).second) {
       return false;
     }
-    fresh.gateways_.emplace(rec->id, std::move(*rec));
   }
   uint32_t n_subnets = reader.ReadU32();
   for (uint32_t i = 0; i < n_subnets; ++i) {
@@ -914,13 +918,22 @@ bool Journal::DecodeAll(ByteReader& reader) {
     if (!rec.has_value()) {
       return false;
     }
-    fresh.subnet_by_network_.Insert(rec->subnet.network().value(), rec->id);
-    fresh.subnets_.emplace(rec->id, std::move(*rec));
+    const auto [it, inserted] = fresh.subnets_.emplace(rec->id, std::move(*rec));
+    if (!inserted) {
+      return false;
+    }
+    fresh.subnet_by_network_.Insert(it->second.subnet.network().value(), it->first);
   }
   fresh.next_interface_id_ = reader.ReadU32();
   fresh.next_gateway_id_ = reader.ReadU32();
   fresh.next_subnet_id_ = reader.ReadU32();
-  if (!reader.ok()) {
+  const auto next_id_clear = [](const auto& records, RecordId next_id) {
+    return std::all_of(records.begin(), records.end(),
+                       [next_id](const auto& entry) { return entry.first < next_id; });
+  };
+  if (!reader.ok() || !next_id_clear(fresh.interfaces_, fresh.next_interface_id_) ||
+      !next_id_clear(fresh.gateways_, fresh.next_gateway_id_) ||
+      !next_id_clear(fresh.subnets_, fresh.next_subnet_id_)) {
     return false;
   }
   // Loading replaces the whole record set: advance past every generation this

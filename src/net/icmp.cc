@@ -1,5 +1,7 @@
 #include "src/net/icmp.h"
 
+#include "src/net/ipv4.h"
+
 namespace fremont {
 namespace {
 
@@ -139,6 +141,18 @@ IcmpMessage IcmpMessage::DestUnreachable(IcmpUnreachableCode unreachable_code,
   msg.code = static_cast<uint8_t>(unreachable_code);
   msg.original_datagram = std::move(original);
   return msg;
+}
+
+std::optional<UdpPorts> QuotedUdpPorts(const ByteBuffer& quote) {
+  if (quote.size() < Ipv4Packet::kHeaderLength + 4 || quote[0] != 0x45 ||
+      quote[9] != static_cast<uint8_t>(IpProtocol::kUdp)) {
+    return std::nullopt;
+  }
+  ByteReader reader(quote.data() + Ipv4Packet::kHeaderLength, 4);
+  UdpPorts ports;
+  ports.src = reader.ReadU16();
+  ports.dst = reader.ReadU16();
+  return ports;
 }
 
 }  // namespace fremont

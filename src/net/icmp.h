@@ -45,8 +45,8 @@ struct IcmpMessage {
   uint32_t address_mask = 0;
 
   // Time Exceeded / Dest Unreachable: the offending packet's IP header plus
-  // the first 8 payload bytes, per RFC 792. Traceroute matches replies to
-  // probes by decoding this.
+  // the first 8 payload bytes, per RFC 792. Traceroute and ServiceProbe
+  // match replies to probes by its UDP ports (QuotedUdpPorts below).
   ByteBuffer original_datagram;
 
   // Echo payload data.
@@ -63,6 +63,19 @@ struct IcmpMessage {
   static IcmpMessage TimeExceeded(ByteBuffer original);
   static IcmpMessage DestUnreachable(IcmpUnreachableCode code, ByteBuffer original);
 };
+
+struct UdpPorts {
+  uint16_t src = 0;
+  uint16_t dst = 0;
+};
+
+// The UDP ports of the datagram an ICMP error quotes. The quote is cut to
+// the IP header plus 8 bytes (RFC 792), so its IP total length exceeds the
+// bytes quoted for any datagram that carried a payload; the fields are read
+// by position instead of through Ipv4Packet::Decode. nullopt unless the
+// quote is an option-free IPv4 header of a UDP datagram followed by both
+// ports.
+std::optional<UdpPorts> QuotedUdpPorts(const ByteBuffer& quote);
 
 }  // namespace fremont
 

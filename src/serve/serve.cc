@@ -14,22 +14,11 @@ namespace fremont::serve {
 
 namespace {
 
-telemetry::Histogram* QueryLatencyHistogram(ViewKind kind) {
-  // One histogram per view; resolved once and cached (registry lookups take
-  // the registry mutex, which would otherwise be the read path's only lock).
-  // Racing resolutions are benign — the registry hands back one stable
-  // pointer per name — so relaxed atomics suffice.
-  static std::atomic<telemetry::Histogram*> histograms[kViewCount] = {};
-  auto& slot = histograms[static_cast<size_t>(kind)];
-  telemetry::Histogram* h = slot.load(std::memory_order_relaxed);
-  if (h == nullptr) {
-    h = telemetry::MetricsRegistry::Global().GetHistogram(
-        std::string(telemetry::names::kServeQueryLatencyUsPrefix) + ViewKindName(kind),
-        telemetry::DurationBucketsMicros());
-    slot.store(h, std::memory_order_relaxed);
-  }
-  return h;
-}
+// One read-latency histogram per view, resolved on first use: a registry
+// lookup takes the registry mutex, which would otherwise be the read path's
+// only lock.
+constinit telemetry::KeyedInstruments<telemetry::Histogram, ViewKind, kViewCount>
+    g_query_latency_histograms(telemetry::names::kServeQueryLatencyUs, ViewKindName);
 
 }  // namespace
 
@@ -228,7 +217,7 @@ std::shared_ptr<const ViewSnapshot> ServeService::ReadView(ViewKind kind) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-  QueryLatencyHistogram(kind)->Observe(static_cast<int64_t>(elapsed));
+  g_query_latency_histograms.Get(kind)->Observe(static_cast<int64_t>(elapsed));
   return snap;
 }
 

@@ -103,19 +103,19 @@ MetricsRegistry& MetricsRegistry::Global() {
   return registry;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+Counter* MetricsRegistry::GetCounter(MetricName name) {
   const MutexLock lock(mutex_);
-  return &counters_[name];
+  return &counters_[name.c_str()];
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
+Gauge* MetricsRegistry::GetGauge(MetricName name) {
   const MutexLock lock(mutex_);
-  return &gauges_[name];
+  return &gauges_[name.c_str()];
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name, std::vector<int64_t> bounds) {
+Histogram* MetricsRegistry::GetHistogram(MetricName name, std::vector<int64_t> bounds) {
   const MutexLock lock(mutex_);
-  return &histograms_.try_emplace(name, std::move(bounds)).first->second;
+  return &histograms_.try_emplace(name.c_str(), std::move(bounds)).first->second;
 }
 
 void MetricsRegistry::Reset() {

@@ -3,8 +3,10 @@
 // Every subsystem (the Explorer Modules, the Journal client and server, the
 // Discovery Manager, the simulator's event queue) registers its metrics here
 // under a "<module>/<metric>" name, e.g. "seqping/packets_sent" or
-// "journal_server/ops_store_interface". Hot paths cache the instrument
-// pointer so the name lookup happens once.
+// "journal_server/ops_store_interface". A name is a typed MetricName from
+// src/telemetry/names.h; the registry takes no string literal and no
+// std::string, so the compiler rejects an undeclared name. Hot paths cache
+// the instrument pointer so the name lookup happens once.
 //
 // Thread safety: instrument updates are relaxed atomics (a counter bump is
 // one fetch_add; gauge/histogram extremes are CAS loops), and registration
@@ -22,12 +24,17 @@
 #ifndef SRC_TELEMETRY_METRICS_H_
 #define SRC_TELEMETRY_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/telemetry/names.h"
 #include "src/util/thread_annotations.h"
 
 namespace fremont::telemetry {
@@ -133,12 +140,28 @@ class MetricsRegistry {
   // The process-wide registry everything instruments against by default.
   static MetricsRegistry& Global();
 
-  Counter* GetCounter(const std::string& name) FREMONT_EXCLUDES(mutex_);
-  Gauge* GetGauge(const std::string& name) FREMONT_EXCLUDES(mutex_);
+  // Each instrument is named by a MetricName (names.h). A string literal
+  // selects one of the deleted overloads below and a std::string matches no
+  // overload, so an undeclared or hand-composed name fails to compile.
+  Counter* GetCounter(MetricName name) FREMONT_EXCLUDES(mutex_);
+  Gauge* GetGauge(MetricName name) FREMONT_EXCLUDES(mutex_);
   // The first caller fixes the bucket bounds; later calls with the same name
   // return the existing histogram regardless of `bounds`.
-  Histogram* GetHistogram(const std::string& name, std::vector<int64_t> bounds)
-      FREMONT_EXCLUDES(mutex_);
+  Histogram* GetHistogram(MetricName name, std::vector<int64_t> bounds) FREMONT_EXCLUDES(mutex_);
+  template <size_t N>
+  Counter* GetCounter(const char (&)[N]) = delete;
+  template <size_t N>
+  Gauge* GetGauge(const char (&)[N]) = delete;
+  template <size_t N>
+  Histogram* GetHistogram(const char (&)[N], std::vector<int64_t> bounds) = delete;
+
+  // A names:: constant the caller holds as a plain const char* (the
+  // benchmark harness reads counters through one). Constrained to exactly
+  // that type, so neither a literal nor a std::string reaches it.
+  template <std::same_as<const char*> Pointer>
+  Counter* GetCounter(Pointer name) FREMONT_EXCLUDES(mutex_) {
+    return GetCounter(MetricName(name));
+  }
 
   // Ordered iteration for the exporters (std::map keeps names sorted, which
   // is what makes the JSON export stable). Callers must hold export_mutex()
@@ -176,6 +199,47 @@ class MetricsRegistry {
 // Duration bucket bounds shared by the per-module run-time histograms
 // (microseconds: 1ms, 10ms, 100ms, 1s, 10s, 1m, 10m, 1h).
 std::vector<int64_t> DurationBucketsMicros();
+
+// The instruments of one keyed family (names.h) whose keys are the values of
+// an enum: one counter per Journal request type, one latency histogram per
+// view. Get(key) resolves the key's instrument from the global registry on
+// first use and reads it from an atomic slot after that, so the hot path
+// builds no name and takes no registry mutex, and a key never used exports
+// no instrument. Racing first uses are benign: the registry hands back one
+// stable pointer per name, and the atomic slot publishes it to threads that
+// never took the registry mutex. Histograms get DurationBucketsMicros()
+// bounds.
+template <typename Instrument, typename Key, size_t kKeys>
+class KeyedInstruments {
+ public:
+  // `key_name` spells a key as the family's members want it
+  // (RequestTypeName, ViewKindName).
+  constexpr KeyedInstruments(KeyedMetricName family, const char* (*key_name)(Key))
+      : family_(family), key_name_(key_name) {}
+
+  Instrument* Get(Key key) {
+    std::atomic<Instrument*>& slot = slots_[static_cast<size_t>(key)];
+    Instrument* instrument = slot.load();
+    if (instrument == nullptr) {
+      instrument = Resolve(family_.WithKey(key_name_(key)));
+      slot.store(instrument);
+    }
+    return instrument;
+  }
+
+ private:
+  static Instrument* Resolve(MetricName name) {
+    if constexpr (std::is_same_v<Instrument, Histogram>) {
+      return MetricsRegistry::Global().GetHistogram(name, DurationBucketsMicros());
+    } else {
+      return MetricsRegistry::Global().GetCounter(name);
+    }
+  }
+
+  const KeyedMetricName family_;
+  const char* (*const key_name_)(Key);
+  std::array<std::atomic<Instrument*>, kKeys> slots_{};
+};
 
 }  // namespace fremont::telemetry
 

@@ -11,8 +11,9 @@
 // misleading "completed" event.
 //
 // A span is named by a SpanName (src/telemetry/names.h): one of the names::
-// constants, or SpanName::ModuleRun(key) for a module run. A string literal
-// does not convert to SpanName, so an ad-hoc span name fails to compile.
+// constants, or names::kSpanModuleRun.WithKey(key) for a module run. A string
+// literal does not convert to SpanName, so an ad-hoc span name fails to
+// compile.
 //
 // Currency: by default a Span pushes itself onto the calling thread's
 // current-span stack for its C++ scope, so nested Record()/Span creation

@@ -51,32 +51,16 @@ void Tracer::RecordSpan(SimTime at, TraceEventKind kind, std::string module, std
   if (!enabled()) {
     return;
   }
-  TraceEvent copy;  // For the sink, which runs outside the lock.
-  Sink sink;
-  {
-    const MutexLock lock(mutex_);
-    TraceEvent& slot = ring_[next_];
-    slot.at = at;
-    slot.kind = kind;
-    slot.module = std::move(module);
-    slot.detail = std::move(detail);
-    slot.ctx = ctx;
-    slot.duration_us = duration_us;
-    next_ = (next_ + 1) % capacity_;
-    recorded_.fetch_add(1, std::memory_order_relaxed);
-    if (sink_) {
-      sink = sink_;
-      copy = slot;
-    }
-  }
-  if (sink) {
-    sink(copy);
-  }
-}
-
-void Tracer::SetSink(Sink sink) {
   const MutexLock lock(mutex_);
-  sink_ = std::move(sink);
+  TraceEvent& slot = ring_[next_];
+  slot.at = at;
+  slot.kind = kind;
+  slot.module = std::move(module);
+  slot.detail = std::move(detail);
+  slot.ctx = ctx;
+  slot.duration_us = duration_us;
+  next_ = (next_ + 1) % capacity_;
+  recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent> Tracer::Events() const {

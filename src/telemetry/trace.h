@@ -14,8 +14,7 @@
 // change.
 //
 // Events land in a fixed-capacity ring buffer (old events are overwritten —
-// the tail of a long run is what debugging needs) and, optionally, in a
-// pluggable sink for live streaming.
+// the tail of a long run is what debugging needs).
 //
 // Thread safety: the ring is guarded by a mutex (FREMONT_GUARDED_BY below —
 // the annotations, not comments, are the contract), `enabled` and the id
@@ -28,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -79,8 +77,6 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  using Sink = std::function<void(const TraceEvent&)>;
-
   static constexpr size_t kDefaultCapacity = 4096;
 
   // The process-wide tracer everything records into by default.
@@ -108,11 +104,6 @@ class Tracer {
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Replaces the streaming sink; pass nullptr to remove it. The ring buffer
-  // keeps recording either way. The sink runs outside the ring lock, so it
-  // may call back into the tracer.
-  void SetSink(Sink sink) FREMONT_EXCLUDES(mutex_);
-
   size_t capacity() const { return capacity_; }
   // Total events ever recorded (>= Events().size() once the ring wraps).
   uint64_t recorded_count() const { return recorded_.load(std::memory_order_relaxed); }
@@ -137,7 +128,6 @@ class Tracer {
   std::vector<TraceEvent> ring_ FREMONT_GUARDED_BY(mutex_);
   // Ring slot the next event lands in.
   size_t next_ FREMONT_GUARDED_BY(mutex_) = 0;
-  Sink sink_ FREMONT_GUARDED_BY(mutex_);
 };
 
 }  // namespace fremont::telemetry

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/net/arp.h"
 #include "src/net/ethernet.h"
 #include "src/net/icmp.h"
@@ -183,6 +185,63 @@ TEST(IcmpCodecTest, RejectsCorruptionAndUnknownType) {
   raw[2] = static_cast<uint8_t>(checksum >> 8);
   raw[3] = static_cast<uint8_t>(checksum);
   EXPECT_FALSE(IcmpMessage::Decode(raw).has_value());
+}
+
+// An encoded IPv4 datagram carrying UDP from port 40001 to `dst_port`.
+ByteBuffer UdpPacketBytes(uint16_t dst_port, ByteBuffer payload) {
+  UdpDatagram datagram;
+  datagram.src_port = 40001;
+  datagram.dst_port = dst_port;
+  datagram.payload = std::move(payload);
+  Ipv4Packet packet;
+  packet.protocol = IpProtocol::kUdp;
+  packet.src = Ipv4Address(1, 1, 1, 1);
+  packet.dst = Ipv4Address(2, 2, 2, 2);
+  packet.payload = datagram.Encode();
+  return packet.Encode();
+}
+
+TEST(IcmpQuoteTest, FullQuoteYieldsPorts) {
+  const auto ports = QuotedUdpPorts(UdpPacketBytes(33434, {}));
+  ASSERT_TRUE(ports.has_value());
+  EXPECT_EQ(ports->src, 40001);
+  EXPECT_EQ(ports->dst, 33434);
+}
+
+TEST(IcmpQuoteTest, TruncatedQuoteOfDatagramWithPayloadYieldsPorts) {
+  // RFC 792 quotes the IP header and 8 bytes: the UDP header, no payload.
+  ByteBuffer quote = UdpPacketBytes(53, ByteBuffer(40, 0xab));
+  quote.resize(Ipv4Packet::kHeaderLength + 8);
+  EXPECT_FALSE(Ipv4Packet::Decode(quote).has_value());  // Total length says 68.
+  const auto ports = QuotedUdpPorts(quote);
+  ASSERT_TRUE(ports.has_value());
+  EXPECT_EQ(ports->src, 40001);
+  EXPECT_EQ(ports->dst, 53);
+}
+
+TEST(IcmpQuoteTest, NonUdpQuoteIsRejected) {
+  Ipv4Packet echo;
+  echo.protocol = IpProtocol::kIcmp;
+  echo.payload = IcmpMessage::EchoRequest(0x1234, 7).Encode();
+  EXPECT_FALSE(QuotedUdpPorts(echo.Encode()).has_value());
+}
+
+TEST(IcmpQuoteTest, HeaderWithOptionsIsRejected) {
+  ByteBuffer quote = UdpPacketBytes(33434, {});
+  quote[0] = 0x46;  // IHL 6: the ports would not be at byte 20.
+  EXPECT_FALSE(QuotedUdpPorts(quote).has_value());
+}
+
+TEST(IcmpQuoteTest, ShortQuotesAreRejected) {
+  const ByteBuffer full = UdpPacketBytes(33434, {});
+  EXPECT_FALSE(QuotedUdpPorts({}).has_value());
+  for (size_t size = 1; size < Ipv4Packet::kHeaderLength + 4; ++size) {
+    EXPECT_FALSE(QuotedUdpPorts(ByteBuffer(full.begin(), full.begin() + size)).has_value())
+        << size;
+  }
+  const auto ports = QuotedUdpPorts(ByteBuffer(full.begin(), full.begin() + 24));
+  ASSERT_TRUE(ports.has_value());
+  EXPECT_EQ(ports->dst, 33434);
 }
 
 TEST(UdpCodecTest, RoundTrip) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 namespace fremont {
 namespace {
@@ -371,6 +373,148 @@ TEST(JournalPersistenceTest, LoadRejectsGarbage) {
   EXPECT_EQ(journal.Stats().interface_count, 1u);
   std::remove(path.c_str());
   EXPECT_FALSE(journal.LoadFromFile("/nonexistent/path/journal.bin"));
+}
+
+// The records and next ids of a snapshot, written the way EncodeAll frames
+// them, so a test can corrupt one field and load the result.
+struct SnapshotParts {
+  std::vector<InterfaceRecord> interfaces;
+  std::vector<GatewayRecord> gateways;
+  std::vector<SubnetRecord> subnets;
+  RecordId next_interface = 0;
+  RecordId next_gateway = 0;
+  RecordId next_subnet = 0;
+};
+
+template <typename Record>
+RecordId OnePastLargestId(const std::vector<Record>& records) {
+  RecordId largest = 0;
+  for (const Record& rec : records) {
+    largest = std::max(largest, rec.id);
+  }
+  return largest + 1;
+}
+
+// Two interfaces, two gateways and two subnets, plus whatever records the
+// gateway stores add.
+Journal TwoOfEach() {
+  Journal journal;
+  journal.StoreInterface(Obs(kIp1, kMacA), DiscoverySource::kArpWatch, At(1));
+  journal.StoreInterface(Obs(kIp2, kMacB), DiscoverySource::kArpWatch, At(2));
+  for (uint8_t i = 0; i < 2; ++i) {
+    GatewayObservation gw;
+    gw.interface_ips = {Ipv4Address(10, 0, i, 1)};
+    journal.StoreGateway(gw, DiscoverySource::kTraceroute, At(3 + i));
+    SubnetObservation subnet;
+    subnet.subnet = Subnet(Ipv4Address(10, 1, i, 0), SubnetMask::FromPrefixLength(24));
+    journal.StoreSubnet(subnet, DiscoverySource::kSubnetMask, At(5 + i));
+  }
+  return journal;
+}
+
+// `journal`'s records, with next ids one past the largest id of each kind.
+SnapshotParts PartsOf(const Journal& journal) {
+  SnapshotParts parts;
+  parts.interfaces = journal.AllInterfaces();
+  parts.gateways = journal.AllGateways();
+  parts.subnets = journal.AllSubnets();
+  parts.next_interface = OnePastLargestId(parts.interfaces);
+  parts.next_gateway = OnePastLargestId(parts.gateways);
+  parts.next_subnet = OnePastLargestId(parts.subnets);
+  return parts;
+}
+
+ByteBuffer EncodeSnapshot(const SnapshotParts& parts) {
+  ByteWriter empty;
+  Journal().EncodeAll(empty);
+  ByteReader header(empty.buffer());
+  ByteWriter writer;
+  writer.WriteU32(header.ReadU32());  // Magic.
+  writer.WriteU16(header.ReadU16());  // Version.
+  writer.WriteU32(static_cast<uint32_t>(parts.interfaces.size()));
+  for (const auto& rec : parts.interfaces) {
+    rec.Encode(writer);
+  }
+  writer.WriteU32(static_cast<uint32_t>(parts.gateways.size()));
+  for (const auto& rec : parts.gateways) {
+    rec.Encode(writer);
+  }
+  writer.WriteU32(static_cast<uint32_t>(parts.subnets.size()));
+  for (const auto& rec : parts.subnets) {
+    rec.Encode(writer);
+  }
+  writer.WriteU32(parts.next_interface);
+  writer.WriteU32(parts.next_gateway);
+  writer.WriteU32(parts.next_subnet);
+  return writer.TakeBuffer();
+}
+
+// Loading `parts` must fail and leave the target Journal as it was.
+void ExpectRejected(const SnapshotParts& parts) {
+  Journal journal;
+  journal.StoreInterface(Obs(kIp1), DiscoverySource::kSeqPing, At(1));
+  const uint64_t generation = journal.generation();
+  const ByteBuffer snapshot = EncodeSnapshot(parts);
+  ByteReader reader(snapshot);
+  EXPECT_FALSE(journal.DecodeAll(reader));
+  EXPECT_EQ(journal.generation(), generation);
+  EXPECT_EQ(journal.Stats().interface_count, 1u);
+  EXPECT_EQ(journal.Stats().gateway_count, 0u);
+  EXPECT_EQ(journal.Stats().subnet_count, 0u);
+  EXPECT_EQ(journal.FindInterfacesByIp(kIp1).size(), 1u);
+}
+
+TEST(JournalPersistenceTest, EncodeAllRoundTripLoads) {
+  const Journal source = TwoOfEach();
+  const SnapshotParts parts = PartsOf(source);
+  ASSERT_GE(parts.interfaces.size(), 2u);
+  ASSERT_GE(parts.gateways.size(), 2u);
+  ASSERT_GE(parts.subnets.size(), 2u);
+  ByteWriter encoded;
+  source.EncodeAll(encoded);
+  // The tests below corrupt exactly what EncodeAll writes.
+  EXPECT_EQ(EncodeSnapshot(parts), encoded.buffer());
+
+  ByteReader reader(encoded.buffer());
+  Journal loaded;
+  ASSERT_TRUE(loaded.DecodeAll(reader));
+  EXPECT_TRUE(loaded.CheckIndexes());
+  EXPECT_EQ(loaded.Stats().interface_count, parts.interfaces.size());
+  EXPECT_EQ(loaded.Stats().gateway_count, parts.gateways.size());
+  EXPECT_EQ(loaded.Stats().subnet_count, parts.subnets.size());
+}
+
+TEST(JournalPersistenceTest, LoadRejectsDuplicateInterfaceId) {
+  SnapshotParts parts = PartsOf(TwoOfEach());
+  parts.interfaces[1].id = parts.interfaces[0].id;
+  ExpectRejected(parts);
+}
+
+TEST(JournalPersistenceTest, LoadRejectsDuplicateGatewayId) {
+  SnapshotParts parts = PartsOf(TwoOfEach());
+  parts.gateways[1].id = parts.gateways[0].id;
+  ExpectRejected(parts);
+}
+
+TEST(JournalPersistenceTest, LoadRejectsDuplicateSubnetId) {
+  SnapshotParts parts = PartsOf(TwoOfEach());
+  parts.subnets[1].id = parts.subnets[0].id;
+  ExpectRejected(parts);
+}
+
+TEST(JournalPersistenceTest, LoadRejectsNextIdAtOrBelowLargestId) {
+  const SnapshotParts valid = PartsOf(TwoOfEach());
+  for (const RecordId below : {RecordId{1}, RecordId{2}}) {
+    SnapshotParts parts = valid;
+    parts.next_interface -= below;
+    ExpectRejected(parts);
+    parts = valid;
+    parts.next_gateway -= below;
+    ExpectRejected(parts);
+    parts = valid;
+    parts.next_subnet -= below;
+    ExpectRejected(parts);
+  }
 }
 
 TEST(JournalMemoryTest, UsageScalesWithRecords) {

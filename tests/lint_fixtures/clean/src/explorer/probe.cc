@@ -1,6 +1,5 @@
 // Fixture explorer: guarded scheduling, plus a raw Schedule that captures
 // only shared state (allowed — see ExplorerModule::ScheduleGuarded).
-#include "src/telemetry/names.h"
 
 struct Probe {
   void Start();

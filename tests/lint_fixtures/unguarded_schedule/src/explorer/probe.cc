@@ -1,6 +1,5 @@
 // Fixture explorer: the raw Schedule here captures `this`, which dangles
 // once the run completes (the violation).
-#include "src/telemetry/names.h"
 
 struct Probe {
   void Start();

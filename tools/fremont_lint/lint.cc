@@ -75,74 +75,6 @@ bool ContainsToken(const std::string& code, const std::string& name) {
   return FindToken(code, name) != std::string::npos;
 }
 
-struct Literal {
-  int line = 0;
-  std::string text;  // Contents between the quotes, escapes left as written.
-};
-
-// String literals in comment-stripped code, with their line numbers.
-std::vector<Literal> ExtractStringLiterals(const std::string& code) {
-  std::vector<Literal> literals;
-  int line = 1;
-  bool in_string = false;
-  bool in_char = false;
-  Literal current;
-  for (size_t i = 0; i < code.size(); ++i) {
-    const char c = code[i];
-    if (c == '\n') {
-      ++line;
-      // A newline cannot appear inside a non-raw literal; recover from any
-      // tokenizer confusion rather than swallowing the rest of the file.
-      in_string = in_char = false;
-      continue;
-    }
-    if (in_string) {
-      if (c == '\\' && i + 1 < code.size()) {
-        current.text += c;
-        current.text += code[++i];
-      } else if (c == '"') {
-        in_string = false;
-        literals.push_back(current);
-      } else {
-        current.text += c;
-      }
-    } else if (in_char) {
-      if (c == '\\' && i + 1 < code.size()) {
-        ++i;
-      } else if (c == '\'') {
-        in_char = false;
-      }
-    } else if (c == '"') {
-      in_string = true;
-      current = Literal{line, ""};
-    } else if (c == '\'') {
-      in_char = true;
-    }
-  }
-  return literals;
-}
-
-// "family/name": lowercase identifier segments around exactly one slash —
-// the telemetry naming convention (see src/telemetry/names.h).
-bool LooksLikeMetricName(const std::string& text) {
-  const size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size() ||
-      text.find('/', slash + 1) != std::string::npos) {
-    return false;
-  }
-  const auto segment_ok = [](const std::string& s, size_t from, size_t to) {
-    for (size_t i = from; i < to; ++i) {
-      const char c = s[i];
-      if (!(std::islower(static_cast<unsigned char>(c)) != 0 ||
-            std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '_')) {
-        return false;
-      }
-    }
-    return true;
-  };
-  return segment_ok(text, 0, slash) && segment_ok(text, slash + 1, text.size());
-}
-
 // --- Rule 6/7 helpers --------------------------------------------------------
 
 // The subsystems that carry thread-safety annotations (rules 6 and 7).
@@ -479,27 +411,6 @@ std::string StripComments(const std::string& source) {
   return out;
 }
 
-std::vector<Issue> CheckMetricNameLiterals(const std::string& root) {
-  std::vector<Issue> issues;
-  const fs::path src = fs::path(root) / "src";
-  for (const fs::path& file : SourceFilesUnder(src)) {
-    const std::string rel = Relative(file, root);
-    if (rel == "src/telemetry/names.h") {
-      continue;  // The one place raw metric names belong.
-    }
-    const std::string code = StripComments(ReadFile(file));
-    for (const Literal& literal : ExtractStringLiterals(code)) {
-      if (LooksLikeMetricName(literal.text)) {
-        issues.push_back({rel, literal.line, "metric-name-literal",
-                          "raw metric name \"" + literal.text +
-                              "\"; register it in src/telemetry/names.h and reference "
-                              "the constant"});
-      }
-    }
-  }
-  return issues;
-}
-
 std::vector<Issue> CheckUnguardedSchedules(const std::string& root) {
   std::vector<Issue> issues;
   for (const fs::path& file : SourceFilesUnder(fs::path(root) / "src/explorer")) {
@@ -810,9 +721,7 @@ std::vector<Issue> CheckLockOrder(const std::string& root) {
 }
 
 std::vector<Issue> RunAllRules(const std::string& root) {
-  std::vector<Issue> issues = CheckMetricNameLiterals(root);
-  std::vector<Issue> schedule = CheckUnguardedSchedules(root);
-  issues.insert(issues.end(), schedule.begin(), schedule.end());
+  std::vector<Issue> issues = CheckUnguardedSchedules(root);
   std::vector<Issue> threads = CheckRawThreads(root);
   issues.insert(issues.end(), threads.begin(), threads.end());
   std::vector<Issue> guards = CheckGuardAnnotations(root);

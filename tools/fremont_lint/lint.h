@@ -2,15 +2,11 @@
 //
 // A lightweight line/token scanner over src/ (no compiler dependency) that
 // enforces the contracts Fremont's subsystems share by convention and the
-// compiler cannot check. Rules 1 and 4 moved into the compiler (DESIGN.md
-// §12): RequestType coverage is -Werror=switch / -Werror=switch-enum over
-// exhaustive switches, and a span name is a telemetry::SpanName, which a
-// string literal does not convert to. The remaining rules keep their numbers:
-//
-//  2. metric-name-literal — telemetry instruments must be registered through
-//     the constants in src/telemetry/names.h; a raw "family/name" string
-//     literal anywhere else under src/ is flagged. Catches typo'd
-//     near-duplicate counters that would silently fork a time series.
+// compiler cannot check. Rules 1, 2 and 4 moved into the compiler
+// (DESIGN.md §12): RequestType coverage is -Werror=switch /
+// -Werror=switch-enum over exhaustive switches, and metric and span names
+// are telemetry::MetricName / SpanName, which a string literal does not
+// convert to. The remaining rules keep their numbers:
 //
 //  3. unguarded-schedule — explorer modules (src/explorer/) must schedule
 //     deferred work through ExplorerModule::ScheduleGuarded; a raw
@@ -63,8 +59,8 @@ namespace fremont::lint {
 struct Issue {
   std::string file;  // Repo-root-relative path.
   int line = 0;      // 1-based; 0 when the issue is file-level.
-  std::string rule;  // "metric-name-literal", "unguarded-schedule", "raw-thread",
-                     // "guard-annotations", "lock-order".
+  std::string rule;  // "unguarded-schedule", "raw-thread", "guard-annotations",
+                     // "lock-order".
   std::string message;
 
   std::string Format() const;  // "file:line: [rule] message"
@@ -76,7 +72,6 @@ struct Issue {
 std::string StripComments(const std::string& source);
 
 // Individual rules; `root` is the repo root holding src/.
-std::vector<Issue> CheckMetricNameLiterals(const std::string& root);
 std::vector<Issue> CheckUnguardedSchedules(const std::string& root);
 std::vector<Issue> CheckRawThreads(const std::string& root);
 std::vector<Issue> CheckGuardAnnotations(const std::string& root);

@@ -7,11 +7,11 @@
 # Builds campus_discovery twice in a temporary directory — once from an
 # export of <rev> (git archive), once from the working tree — runs each into
 # a fresh output directory, and compares all six output files with cmp.
-# Prints the first file that differs and exits 1; exits 0 when all six match
-# and 2 on a usage or build error. The run is seeded, so a change that
-# promises "nothing simulated moved" must pass against its parent. It is a
-# tool, not a CI gate: a change that alters behaviour legitimately changes
-# the outputs. Set TMPDIR to choose where the builds go.
+# Prints every file that differs and exits 1 if any does; exits 0 when all
+# six match and 2 on a usage or build error. The run is seeded, so a change
+# that promises "nothing simulated moved" must pass against its parent. It
+# is a tool, not a CI gate: a change that alters behaviour legitimately
+# changes the outputs. Set TMPDIR to choose where the builds go.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -64,11 +64,15 @@ for side in rev tree; do
   fi
 done
 
+status=0
 for f in $files; do
   if ! cmp -s "$work/out-rev/$f" "$work/out-tree/$f"; then
     echo "same_campus: $f differs between $rev and the working tree"
     cmp "$work/out-rev/$f" "$work/out-tree/$f" || true
-    exit 1
+    status=1
   fi
 done
-echo "same_campus: all six outputs byte-identical to $rev"
+if [ "$status" -eq 0 ]; then
+  echo "same_campus: all six outputs byte-identical to $rev"
+fi
+exit "$status"
