@@ -4,7 +4,7 @@
 
 namespace fremont {
 
-ArpWatch::ArpWatch(Host* vantage, JournalClient* journal, ArpWatchParams params)
+ArpWatch::ArpWatch(Vantage vantage, JournalClient* journal, ArpWatchParams params)
     : ExplorerModule("arpwatch", "ARPwatch", vantage, journal), params_(params) {}
 
 bool ArpWatch::StartCapture() {
@@ -58,15 +58,6 @@ void ArpWatch::Observe(MacAddress mac, Ipv4Address ip, SimTime now) {
   obs.ip = ip;
   obs.mac = mac;
   writer().StoreInterface(obs, DiscoverySource::kArpWatch);
-}
-
-int ArpWatch::unique_ips_seen() const {
-  std::set<uint32_t> ips;
-  for (const auto& [key, when] : seen_) {
-    (void)when;
-    ips.insert(key.second);
-  }
-  return static_cast<int>(ips.size());
 }
 
 int ArpWatch::unique_ips_in(const Subnet& subnet) const {

@@ -28,7 +28,7 @@ struct ArpWatchParams {
 
 class ArpWatch : public ExplorerModule {
  public:
-  ArpWatch(Host* vantage, JournalClient* journal, ArpWatchParams params = {});
+  ArpWatch(Vantage vantage, JournalClient* journal, ArpWatchParams params = {});
 
   // Attaches the tap. Requires "system privileges" in the original; here it
   // requires the vantage host to have an attached segment. Callers that want
@@ -41,9 +41,7 @@ class ArpWatch : public ExplorerModule {
 
   // Distinct (MAC, IP) pairs seen since StartCapture.
   int unique_pairs_seen() const { return static_cast<int>(seen_.size()); }
-  // Distinct IP addresses seen, optionally restricted to one subnet (the
-  // Table 5 accounting unit).
-  int unique_ips_seen() const;
+  // Distinct IP addresses seen in one subnet (the Table 5 accounting unit).
   int unique_ips_in(const Subnet& subnet) const;
   // Live snapshot of the watch so far (final once the tap is detached).
   ExplorerReport report() const;

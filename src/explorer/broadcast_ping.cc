@@ -5,7 +5,7 @@ namespace {
 constexpr uint16_t kBroadcastPingIdent = 0x4250;
 }
 
-BroadcastPing::BroadcastPing(Host* vantage, JournalClient* journal, BroadcastPingParams params)
+BroadcastPing::BroadcastPing(Vantage vantage, JournalClient* journal, BroadcastPingParams params)
     : ExplorerModule("broadcastping", "BrdcastPing", vantage, journal), params_(params) {}
 
 void BroadcastPing::StartImpl() {

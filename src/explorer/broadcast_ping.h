@@ -34,7 +34,7 @@ struct BroadcastPingParams {
 
 class BroadcastPing : public ExplorerModule {
  public:
-  BroadcastPing(Host* vantage, JournalClient* journal, BroadcastPingParams params = {});
+  BroadcastPing(Vantage vantage, JournalClient* journal, BroadcastPingParams params = {});
 
   const std::vector<Ipv4Address>& responders() const { return responders_; }
 

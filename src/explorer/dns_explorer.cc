@@ -13,7 +13,7 @@ constexpr uint16_t kDnsClientPort = 40053;
 constexpr uint16_t kMaskIdent = 0x444d;
 }  // namespace
 
-DnsExplorer::DnsExplorer(Host* vantage, JournalClient* journal, DnsExplorerParams params)
+DnsExplorer::DnsExplorer(Vantage vantage, JournalClient* journal, DnsExplorerParams params)
     : ExplorerModule("dns", "DNS", vantage, journal), params_(std::move(params)) {}
 
 void DnsExplorer::CancelImpl() { FinishReport(); }
@@ -123,16 +123,6 @@ void DnsExplorer::StartMaskRequest(Ipv4Address target,
       });
   SendIcmp(target, IcmpMessage::MaskRequest(kMaskIdent, 0));
   ScheduleGuarded(params_.query_timeout, [settle]() { settle(); });
-}
-
-std::vector<Ipv4Address> DnsExplorer::discovered_addresses() const {
-  std::vector<Ipv4Address> out;
-  out.reserve(ip_to_names_.size());
-  for (const auto& [ip, names] : ip_to_names_) {
-    (void)names;
-    out.push_back(Ipv4Address(ip));
-  }
-  return out;
 }
 
 int DnsExplorer::interfaces_in(const Subnet& subnet) const {

@@ -49,7 +49,7 @@ struct DnsExplorerParams {
 
 class DnsExplorer : public ExplorerModule {
  public:
-  DnsExplorer(Host* vantage, JournalClient* journal, DnsExplorerParams params = {});
+  DnsExplorer(Vantage vantage, JournalClient* journal, DnsExplorerParams params = {});
 
   // Distinct addresses found in the zone (Table 5's DNS row).
   int interfaces_found() const { return static_cast<int>(ip_to_names_.size()); }
@@ -59,9 +59,8 @@ class DnsExplorer : public ExplorerModule {
   // Subnets connected by identified gateways (Table 6's last row).
   int gateway_subnets() const { return static_cast<int>(gateway_subnets_.size()); }
   SubnetMask discovered_mask() const { return mask_; }
-  // All addresses found in the zone, and the count inside one subnet (the
-  // Table 5 "% of Total" denominator is per-subnet).
-  std::vector<Ipv4Address> discovered_addresses() const;
+  // Addresses found in the zone inside one subnet (the Table 5 "% of Total"
+  // denominator is per-subnet).
   int interfaces_in(const Subnet& subnet) const;
   // Host/OS type info from HINFO records (name → "CPU/OS"). The paper found
   // this "rarely supplied" in deployed zones; the count quantifies it.

@@ -8,7 +8,7 @@
 
 namespace fremont {
 
-EtherHostProbe::EtherHostProbe(Host* vantage, JournalClient* journal,
+EtherHostProbe::EtherHostProbe(Vantage vantage, JournalClient* journal,
                                EtherHostProbeParams params)
     : ExplorerModule("etherhostprobe", "EtherHostProbe", vantage, journal), params_(params) {}
 

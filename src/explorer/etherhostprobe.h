@@ -33,7 +33,7 @@ struct EtherHostProbeParams {
 
 class EtherHostProbe : public ExplorerModule {
  public:
-  EtherHostProbe(Host* vantage, JournalClient* journal, EtherHostProbeParams params = {});
+  EtherHostProbe(Vantage vantage, JournalClient* journal, EtherHostProbeParams params = {});
 
   int proxy_suspects() const { return proxy_suspects_; }
 

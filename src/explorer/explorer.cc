@@ -42,9 +42,9 @@ void RecordModuleReport(const std::string& key, const ExplorerReport& report) {
 
 }  // namespace
 
-ExplorerModule::ExplorerModule(std::string key, std::string display_name, Host* vantage,
+ExplorerModule::ExplorerModule(std::string key, std::string display_name, Vantage vantage,
                                JournalClient* journal)
-    : key_(std::move(key)), host_(vantage), journal_(journal) {
+    : key_(std::move(key)), host_(vantage.host_), journal_(journal) {
   report_.module = std::move(display_name);
   if (journal_ != nullptr) {
     writer_.emplace(journal_, [host = host_]() { return host->Now(); });

@@ -51,6 +51,19 @@ struct ExplorerReport {
   std::string Summary() const;
 };
 
+// The host a module runs from, as the module's constructor receives it. A
+// Host* converts to it, so callers pass the host as before, but only
+// ExplorerModule can open it: a module cannot keep the Host*, so it cannot
+// reach Host::events() and schedule around ScheduleGuarded (DESIGN.md §12).
+class Vantage {
+ public:
+  Vantage(Host* host) : host_(host) {}
+
+ private:
+  friend class ExplorerModule;
+  Host* host_;
+};
+
 // Uniform Explorer Module lifecycle. A module instance is single-shot:
 //
 //   idle --Start(done)--> running --Complete()--> finished
@@ -93,14 +106,12 @@ class ExplorerModule {
   bool finished() const { return finished_; }
   // Telemetry/registry key, lowercase ("arpwatch", "seqping", ...).
   const std::string& key() const { return key_; }
-  // Report as of the last Complete(); undefined detail before finished().
-  const ExplorerReport& last_report() const { return report_; }
 
  protected:
   // `key` names the metric family; `display_name` is the human module name
   // the paper's tables use ("ARPwatch", "SeqPing", ...). The module runs on
   // `vantage`'s event queue. A null `journal` (test fakes) gets no writer.
-  ExplorerModule(std::string key, std::string display_name, Host* vantage,
+  ExplorerModule(std::string key, std::string display_name, Vantage vantage,
                  JournalClient* journal);
 
   // Module-specific startup: compute targets, attach listeners, schedule

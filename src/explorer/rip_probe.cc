@@ -12,7 +12,7 @@ namespace {
 constexpr uint16_t kRipProbePort = 30520;
 }
 
-RipProbe::RipProbe(Host* vantage, JournalClient* journal, RipProbeParams params)
+RipProbe::RipProbe(Vantage vantage, JournalClient* journal, RipProbeParams params)
     : ExplorerModule("ripprobe", "RIPprobe", vantage, journal), params_(std::move(params)) {}
 
 Subnet RipProbe::InferSubnet(Ipv4Address advertised) const {

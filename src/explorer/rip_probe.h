@@ -42,7 +42,7 @@ struct RipProbeParams {
 
 class RipProbe : public ExplorerModule {
  public:
-  RipProbe(Host* vantage, JournalClient* journal, RipProbeParams params = {});
+  RipProbe(Vantage vantage, JournalClient* journal, RipProbeParams params = {});
 
   // Target address → full routing table it reported.
   const std::map<uint32_t, std::vector<RipEntry>>& tables() const { return tables_; }

@@ -5,7 +5,7 @@
 
 namespace fremont {
 
-RipWatch::RipWatch(Host* vantage, JournalClient* journal, RipWatchParams params)
+RipWatch::RipWatch(Vantage vantage, JournalClient* journal, RipWatchParams params)
     : ExplorerModule("ripwatch", "RIPwatch", vantage, journal), params_(params) {}
 
 bool RipWatch::StartCapture() {

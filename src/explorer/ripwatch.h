@@ -33,7 +33,7 @@ struct RipWatchParams {
 
 class RipWatch : public ExplorerModule {
  public:
-  RipWatch(Host* vantage, JournalClient* journal, RipWatchParams params = {});
+  RipWatch(Vantage vantage, JournalClient* journal, RipWatchParams params = {});
 
   // Open-ended capture controls for callers that manage the tap themselves
   // (no `watch` deadline); Start()/Run() drive these internally.

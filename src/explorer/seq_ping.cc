@@ -11,7 +11,7 @@ constexpr uint16_t kPingIdent = 0x5051;
 constexpr int kPasses = 2;
 }
 
-SeqPing::SeqPing(Host* vantage, JournalClient* journal, SeqPingParams params)
+SeqPing::SeqPing(Vantage vantage, JournalClient* journal, SeqPingParams params)
     : ExplorerModule("seqping", "SeqPing", vantage, journal), params_(params) {}
 
 void SeqPing::StartImpl() {

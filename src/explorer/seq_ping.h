@@ -26,7 +26,7 @@ struct SeqPingParams {
 
 class SeqPing : public ExplorerModule {
  public:
-  SeqPing(Host* vantage, JournalClient* journal, SeqPingParams params = {});
+  SeqPing(Vantage vantage, JournalClient* journal, SeqPingParams params = {});
 
   const std::vector<Ipv4Address>& responders() const { return responders_; }
 

@@ -29,7 +29,7 @@ uint16_t ServicePort(KnownService service) {
 
 }  // namespace
 
-ServiceProbe::ServiceProbe(Host* vantage, JournalClient* journal, ServiceProbeParams params)
+ServiceProbe::ServiceProbe(Vantage vantage, JournalClient* journal, ServiceProbeParams params)
     : ExplorerModule("serviceprobe", "ServiceProbe", vantage, journal),
       params_(std::move(params)) {}
 

@@ -38,12 +38,11 @@ struct ServiceProbeParams {
 
 class ServiceProbe : public ExplorerModule {
  public:
-  ServiceProbe(Host* vantage, JournalClient* journal, ServiceProbeParams params = {});
+  ServiceProbe(Vantage vantage, JournalClient* journal, ServiceProbeParams params = {});
 
   enum class Verdict { kPresent, kAbsent, kUnknown };
   // (interface, service) → verdict for everything probed.
   const std::map<std::pair<uint32_t, uint16_t>, Verdict>& verdicts() const { return verdicts_; }
-  int services_found() const { return services_found_; }
 
  protected:
   void StartImpl() override;

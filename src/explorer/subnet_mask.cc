@@ -8,7 +8,7 @@ namespace {
 constexpr uint16_t kMaskIdent = 0x4d53;
 }
 
-SubnetMaskExplorer::SubnetMaskExplorer(Host* vantage, JournalClient* journal,
+SubnetMaskExplorer::SubnetMaskExplorer(Vantage vantage, JournalClient* journal,
                                        SubnetMaskParams params)
     : ExplorerModule("subnetmasks", "SubnetMasks", vantage, journal),
       params_(std::move(params)) {}
@@ -73,8 +73,7 @@ void SubnetMaskExplorer::Finish() {
   for (const auto& [ip, raw_mask] : replies_) {
     auto mask = SubnetMask::FromValue(raw_mask);
     if (!mask.has_value()) {
-      ++invalid_masks_;
-      continue;  // Non-contiguous mask: note it, don't pollute the Journal.
+      continue;  // Non-contiguous mask: keep it out of the Journal.
     }
     InterfaceObservation obs;
     obs.ip = Ipv4Address(ip);

@@ -32,10 +32,8 @@ struct SubnetMaskParams {
 
 class SubnetMaskExplorer : public ExplorerModule {
  public:
-  SubnetMaskExplorer(Host* vantage, JournalClient* journal, SubnetMaskParams params = {});
+  SubnetMaskExplorer(Vantage vantage, JournalClient* journal, SubnetMaskParams params = {});
 
-  // Replies carrying a non-contiguous (invalid) mask.
-  int invalid_masks_seen() const { return invalid_masks_; }
   // Targets skipped because the negative cache said "known unavailable".
   int skipped_by_negative_cache() const { return skipped_; }
 
@@ -49,7 +47,6 @@ class SubnetMaskExplorer : public ExplorerModule {
   SubnetMaskParams params_;
   std::vector<Ipv4Address> targets_;
   std::map<uint32_t, uint32_t> replies_;  // Source ip → raw mask.
-  int invalid_masks_ = 0;
   int skipped_ = 0;
 };
 

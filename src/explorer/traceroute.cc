@@ -12,7 +12,7 @@
 
 namespace fremont {
 
-Traceroute::Traceroute(Host* vantage, JournalClient* journal, TracerouteParams params)
+Traceroute::Traceroute(Vantage vantage, JournalClient* journal, TracerouteParams params)
     : ExplorerModule("traceroute", "Traceroute", vantage, journal), params_(std::move(params)) {}
 
 Subnet Traceroute::AssumedSubnet(Ipv4Address ip) const {

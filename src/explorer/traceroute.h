@@ -73,7 +73,7 @@ struct TraceResult {
 
 class Traceroute : public ExplorerModule {
  public:
-  Traceroute(Host* vantage, JournalClient* journal, TracerouteParams params = {});
+  Traceroute(Vantage vantage, JournalClient* journal, TracerouteParams params = {});
 
   const std::vector<TraceResult>& results() const { return results_; }
   // Subnets confirmed (terminal reply, or gateway-link inference).

@@ -889,7 +889,8 @@ bool Journal::DecodeAll(ByteReader& reader) {
     return false;
   }
   // Any bad record rejects the whole snapshot, leaving this Journal as it
-  // was: a duplicated id would otherwise load with one record missing, and
+  // was: a duplicated id would otherwise load with one record missing, a
+  // duplicated subnet network with one record unreachable by network, and
   // a next id at or below a loaded id would hand that id out again.
   Journal fresh;
   uint32_t n_interfaces = reader.ReadU32();
@@ -919,10 +920,10 @@ bool Journal::DecodeAll(ByteReader& reader) {
       return false;
     }
     const auto [it, inserted] = fresh.subnets_.emplace(rec->id, std::move(*rec));
-    if (!inserted) {
+    if (!inserted ||
+        !fresh.subnet_by_network_.Insert(it->second.subnet.network().value(), it->first)) {
       return false;
     }
-    fresh.subnet_by_network_.Insert(it->second.subnet.network().value(), it->first);
   }
   fresh.next_interface_id_ = reader.ReadU32();
   fresh.next_gateway_id_ = reader.ReadU32();
@@ -931,7 +932,8 @@ bool Journal::DecodeAll(ByteReader& reader) {
     return std::all_of(records.begin(), records.end(),
                        [next_id](const auto& entry) { return entry.first < next_id; });
   };
-  if (!reader.ok() || !next_id_clear(fresh.interfaces_, fresh.next_interface_id_) ||
+  if (!reader.ok() || reader.remaining() != 0 ||
+      !next_id_clear(fresh.interfaces_, fresh.next_interface_id_) ||
       !next_id_clear(fresh.gateways_, fresh.next_gateway_id_) ||
       !next_id_clear(fresh.subnets_, fresh.next_subnet_id_)) {
     return false;

@@ -142,10 +142,6 @@ class Journal {
   // generation() returns an empty servable delta.
   Delta CollectChangesSince(RecordKind kind, uint64_t since) const;
 
-  // Generation below which CollectChangesSince cannot answer. 0 until the
-  // first eviction.
-  uint64_t changelog_horizon() const { return changelog_horizon_; }
-  size_t changelog_size() const { return changelog_.size(); }
   // Bounds the changelog; evicts oldest entries (advancing the horizon) if
   // the new capacity is smaller than the current size.
   void set_changelog_capacity(size_t capacity);
@@ -167,6 +163,8 @@ class Journal {
   bool SaveToFile(const std::string& path) const;
   bool LoadFromFile(const std::string& path);
   void EncodeAll(ByteWriter& writer) const;
+  // Loads a whole snapshot, the reader's every byte, or fails and leaves
+  // this Journal as it was.
   bool DecodeAll(ByteReader& reader);
 
  private:

@@ -95,7 +95,6 @@ class DiscoveryManager {
   void EnableAutoCorrelation(int assumed_prefix = 24) {
     correlation_.emplace(assumed_prefix);
   }
-  bool auto_correlation_enabled() const { return correlation_.has_value(); }
   // Report from the most recent auto-correlation pass (empty before one ran).
   const CorrelationReport& last_correlation() const { return last_correlation_; }
   // The persistent state itself, for tests and tools. Requires

@@ -1,22 +1,41 @@
 #include "src/manager/schedule.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "src/util/string_util.h"
 
 namespace fremont {
+
+namespace {
+
+// The whole of `text` as a decimal Int: nullopt for an empty token, a stray
+// character anywhere, or a value Int cannot hold.
+template <typename Int>
+std::optional<Int> ParseNumber(std::string_view text) {
+  Int value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
 
 std::optional<Duration> ParseScheduleDuration(const std::string& text) {
   if (text.empty()) {
     return std::nullopt;
   }
   char suffix = text.back();
-  std::string digits = text;
+  std::string_view digits = text;
   int64_t multiplier = 1;  // Seconds by default.
   if (suffix == 's' || suffix == 'm' || suffix == 'h' || suffix == 'd') {
-    digits = text.substr(0, text.size() - 1);
+    digits.remove_suffix(1);
     switch (suffix) {
       case 's':
         multiplier = 1;
@@ -32,15 +51,14 @@ std::optional<Duration> ParseScheduleDuration(const std::string& text) {
         break;
     }
   }
-  if (digits.empty()) {
+  // Unsigned, so a sign is a stray character. The bound keeps the result
+  // inside Duration's int64_t microseconds.
+  const std::optional<uint64_t> count = ParseNumber<uint64_t>(digits);
+  if (!count.has_value() ||
+      *count > static_cast<uint64_t>(std::numeric_limits<int64_t>::max() / 1000000 / multiplier)) {
     return std::nullopt;
   }
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-  }
-  return Duration::Seconds(std::atoll(digits.c_str()) * multiplier);
+  return Duration::Seconds(static_cast<int64_t>(*count) * multiplier);
 }
 
 std::string FormatScheduleDuration(Duration d) {
@@ -90,8 +108,10 @@ std::optional<std::vector<ModuleSchedule>> ParseScheduleFile(const std::string& 
     fields >> m.name;
     std::string key, value;
     bool ok = !m.name.empty();
-    while (ok && fields >> key >> value) {
-      if (key == "min" || key == "max" || key == "interval") {
+    while (ok && fields >> key) {
+      if (!(fields >> value)) {
+        ok = false;  // A key with no value.
+      } else if (key == "min" || key == "max" || key == "interval") {
         auto d = ParseScheduleDuration(value);
         if (!d.has_value()) {
           ok = false;
@@ -105,11 +125,16 @@ std::optional<std::vector<ModuleSchedule>> ParseScheduleFile(const std::string& 
           m.current_interval = *d;
         }
       } else if (key == "last_run") {
-        m.last_run = SimTime::FromMicros(std::atoll(value.c_str()));
+        const std::optional<int64_t> micros = ParseNumber<int64_t>(value);
+        ok = micros.has_value();
+        m.last_run = SimTime::FromMicros(micros.value_or(0));
       } else if (key == "ever_run") {
+        ok = value == "0" || value == "1";
         m.ever_run = value == "1";
       } else if (key == "last_discovered") {
-        m.last_discovered = std::atoi(value.c_str());
+        const std::optional<int> count = ParseNumber<int>(value);
+        ok = count.has_value();
+        m.last_discovered = count.value_or(0);
       } else {
         ok = false;
       }

@@ -10,8 +10,8 @@
 // analysis path.
 //
 // The renderers are pure functions of (records, now) — fremont_report's
-// `problems` command and `--from-serve` path both go through RenderProblems,
-// which is what keeps the two output paths byte-identical.
+// `problems` command and the problems view both go through RenderProblems,
+// which is what keeps the two byte-identical.
 
 #ifndef SRC_SERVE_VIEWS_H_
 #define SRC_SERVE_VIEWS_H_

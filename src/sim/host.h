@@ -93,7 +93,6 @@ class Host : public FrameSink {
 
   // Default route for a plain (non-forwarding) host.
   void SetDefaultGateway(Ipv4Address gateway) { default_gateway_ = gateway; }
-  std::optional<Ipv4Address> default_gateway() const { return default_gateway_; }
 
   // --- Sending (used by services, traffic, and Explorer Modules) ------------
 

@@ -172,7 +172,6 @@ void RipDaemon::AdvertiseOn(Interface* iface) {
           Duration::Millis(3 * static_cast<int64_t>(i)),
           [host, out = std::move(out)]() mutable { host->SendIpPacket(std::move(out)); });
     }
-    ++advertisements_sent_;
   }
 }
 
@@ -226,7 +225,6 @@ void RipDaemon::OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagra
             });
       }
       ++chunk_index;
-      ++advertisements_sent_;
     }
     return;
   }

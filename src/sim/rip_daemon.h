@@ -46,8 +46,6 @@ class RipDaemon {
   void Stop();
   bool running() const { return running_; }
 
-  uint64_t advertisements_sent() const { return advertisements_sent_; }
-
  private:
   void OnRipPacket(const Ipv4Packet& packet, const UdpDatagram& datagram);
   void Advertise();
@@ -76,7 +74,6 @@ class RipDaemon {
   RipDaemonConfig config_;
   bool running_ = false;
   uint64_t generation_ = 0;  // Invalidates scheduled ticks after Stop().
-  uint64_t advertisements_sent_ = 0;
   // Liveness token for scheduled tick events: they hold a weak_ptr, so a
   // destroyed (or stopped) daemon turns pending events into no-ops instead
   // of dangling-pointer calls.

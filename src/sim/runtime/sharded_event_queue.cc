@@ -26,15 +26,14 @@ uint64_t ShardSeed(uint64_t seed, int shard) {
 }  // namespace
 
 ShardedEventQueue::ShardedEventQueue(Options options)
-    : workers_(std::max(1, options.workers)),
-      window_(options.window > Duration::Zero() ? options.window : Duration::Micros(1)) {
+    : window_(options.window > Duration::Zero() ? options.window : Duration::Micros(1)) {
   const int shards = std::max(1, options.shards);
   shards_.reserve(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(ShardSeed(options.seed, s)));
   }
-  if (workers_ > 1) {
-    pool_ = std::make_unique<WorkerPool>(workers_);
+  if (options.workers > 1) {
+    pool_ = std::make_unique<WorkerPool>(options.workers);
   }
   auto& metrics = telemetry::MetricsRegistry::Global();
   metrics.GetGauge(telemetry::names::kRuntimeShards)->Set(shards);

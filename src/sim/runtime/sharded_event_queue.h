@@ -66,7 +66,6 @@ class ShardedEventQueue {
   ShardedEventQueue& operator=(const ShardedEventQueue&) = delete;
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  int worker_count() const { return workers_; }
   EventQueue& queue(int shard) { return shards_[static_cast<size_t>(shard)]->queue; }
   Rng& rng(int shard) { return shards_[static_cast<size_t>(shard)]->rng; }
 
@@ -145,7 +144,6 @@ class ShardedEventQueue {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<WorkerPool> pool_;  // Null when workers == 1 (inline mode).
-  int workers_ = 1;
   Duration window_;
   uint64_t control_post_seq_ = 0;
   uint64_t window_barriers_ = 0;

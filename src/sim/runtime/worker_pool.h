@@ -38,8 +38,6 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int thread_count() const { return static_cast<int>(threads_.size()); }
-
   // Runs job(0) .. job(jobs-1) across the pool and blocks until every call
   // has returned. The caller does not execute jobs itself (except in the
   // zero-thread inline mode), so `jobs` callbacks only ever run on pool

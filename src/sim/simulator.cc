@@ -91,12 +91,4 @@ Segment* Simulator::FindSegment(const std::string& name) const {
   return nullptr;
 }
 
-uint64_t Simulator::TotalFramesSent() const {
-  uint64_t total = 0;
-  for (const auto& segment : segments_) {
-    total += segment->stats().frames_sent;
-  }
-  return total;
-}
-
 }  // namespace fremont

@@ -73,9 +73,6 @@ class Simulator {
   void RunFor(Duration duration);
   void RunUntil(SimTime deadline);
 
-  // Total frames placed on all segments.
-  uint64_t TotalFramesSent() const;
-
  private:
   EventQueue events_;  // Unused (but harmless) when runtime_ is engaged.
   Rng rng_;

@@ -61,7 +61,6 @@ class Span {
   void End(TraceEventKind kind, SimTime at, std::string detail = "");
 
   const SpanContext& context() const { return ctx_; }
-  SimTime start_time() const { return start_; }
   // Sim-time duration observed by End(); -1 until then.
   int64_t duration_us() const { return duration_us_; }
   bool ended() const { return ended_; }

@@ -41,12 +41,6 @@ class Rng {
     return dist(engine_);
   }
 
-  // A fresh seed derived from this stream; used to fork independent
-  // sub-generators (e.g. one per simulated host).
-  uint64_t Fork() { return engine_(); }
-
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

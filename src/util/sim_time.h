@@ -26,7 +26,6 @@ class Duration {
   static constexpr Duration Hours(int64_t h) { return Duration(h * 3600 * 1000000); }
   static constexpr Duration Days(int64_t d) { return Duration(d * 86400 * 1000000); }
   static constexpr Duration Zero() { return Duration(0); }
-  static constexpr Duration Infinite() { return Duration(INT64_MAX); }
 
   // Fractional-second construction, e.g. Duration::SecondsF(0.25).
   static constexpr Duration SecondsF(double s) {

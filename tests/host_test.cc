@@ -330,5 +330,59 @@ TEST_F(HostTest, OversizedUdpRefused) {
   EXPECT_FALSE(alice_->SendUdp(bob_->primary_interface()->ip, 1, 2, std::move(huge)));
 }
 
+TEST(HostReflectTtlTest, TracerouteTerminalResolvesAtRoundTripTtl) {
+  // vantage —[lan]— r1 —[middle]— r2 —[far]— buggy host (.10).
+  // The destination is 3 hops away and reflects the probe's remaining TTL in
+  // its Port Unreachable. Probe TTL 3 arrives with TTL 1; the reflected
+  // reply dies before coming home. Only at probe TTL ≥ 5 does the reply
+  // survive the 3-hop return — traceroute still gets its terminal, just at
+  // a higher TTL ("The Traceroute Explorer Module can handle most of the
+  // common failure modes").
+  Simulator sim(41);
+  Subnet lan = *Subnet::Parse("10.8.1.0/24");
+  Subnet middle = *Subnet::Parse("10.8.2.0/24");
+  Subnet far = *Subnet::Parse("10.8.3.0/24");
+  Segment* seg_lan = sim.CreateSegment("lan", lan);
+  Segment* seg_middle = sim.CreateSegment("middle", middle);
+  Segment* seg_far = sim.CreateSegment("far", far);
+
+  Router* r1 = sim.CreateRouter("r1", {});
+  Interface* r1_lan = r1->AttachTo(seg_lan, lan.HostAt(1), lan.mask(),
+                                   MacAddress(2, 0, 0, 8, 0, 1));
+  Interface* r1_mid = r1->AttachTo(seg_middle, middle.HostAt(1), middle.mask(),
+                                   MacAddress(2, 0, 0, 8, 0, 2));
+  Router* r2 = sim.CreateRouter("r2", {});
+  Interface* r2_mid = r2->AttachTo(seg_middle, middle.HostAt(2), middle.mask(),
+                                   MacAddress(2, 0, 0, 8, 0, 3));
+  r2->AttachTo(seg_far, far.HostAt(1), far.mask(), MacAddress(2, 0, 0, 8, 0, 4));
+  r1->routing_table().Learn(far, r2_mid->ip, r1_mid, 2, sim.Now());
+  r2->routing_table().Learn(lan, r1_mid->ip, r2_mid, 2, sim.Now());
+
+  HostConfig buggy;
+  buggy.reflects_ttl_in_replies = true;
+  Host* destination = sim.CreateHost("buggy", buggy);
+  destination->AttachTo(seg_far, far.HostAt(10), far.mask(), MacAddress(2, 0, 0, 8, 0, 5));
+  destination->SetDefaultGateway(far.HostAt(1));
+
+  Host* vantage = sim.CreateHost("vantage");
+  vantage->AttachTo(seg_lan, lan.HostAt(250), lan.mask(), MacAddress(2, 0, 0, 8, 0, 6));
+  vantage->SetDefaultGateway(r1_lan->ip);
+
+  // A probe with round-trip TTL gets an answer; one with only one-way TTL
+  // does not, because the buggy destination reflects the remaining TTL.
+  int unreachables = 0;
+  vantage->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+    if (message.type == IcmpType::kDestUnreachable) {
+      ++unreachables;
+    }
+  });
+  vantage->SendUdp(destination->primary_interface()->ip, 4001, 33434, {}, 3);  // One-way only.
+  sim.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(unreachables, 0);  // Reply died en route (left with TTL 1).
+  vantage->SendUdp(destination->primary_interface()->ip, 4002, 33435, {}, 6);  // Round trip.
+  sim.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(unreachables, 1);
+}
+
 }  // namespace
 }  // namespace fremont

@@ -384,6 +384,7 @@ struct SnapshotParts {
   RecordId next_interface = 0;
   RecordId next_gateway = 0;
   RecordId next_subnet = 0;
+  ByteBuffer trailing;  // Written after the next ids.
 };
 
 template <typename Record>
@@ -446,6 +447,7 @@ ByteBuffer EncodeSnapshot(const SnapshotParts& parts) {
   writer.WriteU32(parts.next_interface);
   writer.WriteU32(parts.next_gateway);
   writer.WriteU32(parts.next_subnet);
+  writer.WriteBytes(parts.trailing);
   return writer.TakeBuffer();
 }
 
@@ -499,6 +501,19 @@ TEST(JournalPersistenceTest, LoadRejectsDuplicateGatewayId) {
 TEST(JournalPersistenceTest, LoadRejectsDuplicateSubnetId) {
   SnapshotParts parts = PartsOf(TwoOfEach());
   parts.subnets[1].id = parts.subnets[0].id;
+  ExpectRejected(parts);
+}
+
+// Two subnet records with the same network: FindSubnet could reach only one.
+TEST(JournalPersistenceTest, LoadRejectsDuplicateSubnetNetwork) {
+  SnapshotParts parts = PartsOf(TwoOfEach());
+  parts.subnets[1].subnet = parts.subnets[0].subnet;
+  ExpectRejected(parts);
+}
+
+TEST(JournalPersistenceTest, LoadRejectsTrailingBytes) {
+  SnapshotParts parts = PartsOf(TwoOfEach());
+  parts.trailing = {0};
   ExpectRejected(parts);
 }
 

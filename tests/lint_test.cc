@@ -54,15 +54,6 @@ TEST(FremontLint, CleanFixturePassesAllRules) {
   EXPECT_TRUE(issues.empty()) << Dump(issues);
 }
 
-TEST(FremontLint, UnguardedScheduleIsFlagged) {
-  const std::vector<Issue> issues = CheckUnguardedSchedules(Fixture("unguarded_schedule"));
-  ASSERT_EQ(issues.size(), 1u) << Dump(issues);
-  EXPECT_EQ(issues[0].rule, "unguarded-schedule");
-  EXPECT_EQ(issues[0].file, "src/explorer/probe.cc");
-  EXPECT_TRUE(AnyMessageContains(issues, "ScheduleGuarded")) << Dump(issues);
-  EXPECT_FALSE(RunAllRules(Fixture("unguarded_schedule")).empty());
-}
-
 TEST(FremontLint, RawThreadOutsideRuntimeIsFlagged) {
   const std::vector<Issue> issues = CheckRawThreads(Fixture("raw_thread"));
   ASSERT_EQ(issues.size(), 2u) << Dump(issues);  // std::thread + detach().

@@ -73,6 +73,16 @@ TEST(ScheduleFileTest, ParseSkipsCommentsRejectsGarbage) {
   EXPECT_EQ(ok->size(), 1u);
   EXPECT_FALSE(ParseScheduleFile("bogus line\n").has_value());
   EXPECT_FALSE(ParseScheduleFile("module m min notaduration\n").has_value());
+  // A key with no value, a number that is not a whole token, an ever_run
+  // other than 0 or 1, and a duration past int64_t microseconds.
+  for (const char* line : {"module m min 1h max\n", "module m last_run soon\n",
+                           "module m last_run 12x\n", "module m last_discovered many\n",
+                           "module m last_discovered 99999999999\n", "module m ever_run yes\n",
+                           "module m ever_run 2\n", "module m interval 106751992d\n",
+                           "module m interval 99999999999999999999s\n"}) {
+    EXPECT_FALSE(ParseScheduleFile(line).has_value()) << line;
+  }
+  EXPECT_TRUE(ParseScheduleFile("module m interval 106751991d ever_run 0\n").has_value());
 }
 
 TEST(ScheduleFileTest, SaveLoad) {

@@ -411,49 +411,6 @@ std::string StripComments(const std::string& source) {
   return out;
 }
 
-std::vector<Issue> CheckUnguardedSchedules(const std::string& root) {
-  std::vector<Issue> issues;
-  for (const fs::path& file : SourceFilesUnder(fs::path(root) / "src/explorer")) {
-    const std::string code = StripComments(ReadFile(file));
-    size_t pos = 0;
-    while ((pos = FindToken(code, "Schedule", pos)) != std::string::npos) {
-      const size_t call = pos;
-      pos += 8;  // strlen("Schedule"); resume after the token either way.
-      size_t open = call + 8;
-      while (open < code.size() && std::isspace(static_cast<unsigned char>(code[open])) != 0) {
-        ++open;
-      }
-      if (open >= code.size() || code[open] != '(') {
-        continue;  // A mention, not a call.
-      }
-      // The call's full argument extent, parenthesis-matched.
-      int depth = 0;
-      size_t close = open;
-      for (; close < code.size(); ++close) {
-        if (code[close] == '(') {
-          ++depth;
-        } else if (code[close] == ')') {
-          if (--depth == 0) {
-            break;
-          }
-        }
-      }
-      const std::string args = code.substr(open, close - open + 1);
-      const bool captures_this = ContainsToken(args, "this");
-      const bool captures_all =
-          args.find("[=]") != std::string::npos || args.find("[&]") != std::string::npos;
-      if (captures_this || captures_all) {
-        issues.push_back(
-            {Relative(file, root), LineOfOffset(code, call), "unguarded-schedule",
-             std::string("raw Schedule() whose callback captures ") +
-                 (captures_this ? "`this`" : "everything ([=]/[&])") +
-                 "; use ExplorerModule::ScheduleGuarded so the event dies with the run"});
-      }
-    }
-  }
-  return issues;
-}
-
 std::vector<Issue> CheckRawThreads(const std::string& root) {
   std::vector<Issue> issues;
   for (const fs::path& file : SourceFilesUnder(fs::path(root) / "src")) {
@@ -721,9 +678,7 @@ std::vector<Issue> CheckLockOrder(const std::string& root) {
 }
 
 std::vector<Issue> RunAllRules(const std::string& root) {
-  std::vector<Issue> issues = CheckUnguardedSchedules(root);
-  std::vector<Issue> threads = CheckRawThreads(root);
-  issues.insert(issues.end(), threads.begin(), threads.end());
+  std::vector<Issue> issues = CheckRawThreads(root);
   std::vector<Issue> guards = CheckGuardAnnotations(root);
   issues.insert(issues.end(), guards.begin(), guards.end());
   std::vector<Issue> order = CheckLockOrder(root);

@@ -2,17 +2,13 @@
 //
 // A lightweight line/token scanner over src/ (no compiler dependency) that
 // enforces the contracts Fremont's subsystems share by convention and the
-// compiler cannot check. Rules 1, 2 and 4 moved into the compiler
-// (DESIGN.md §12): RequestType coverage is -Werror=switch /
-// -Werror=switch-enum over exhaustive switches, and metric and span names
-// are telemetry::MetricName / SpanName, which a string literal does not
-// convert to. The remaining rules keep their numbers:
-//
-//  3. unguarded-schedule — explorer modules (src/explorer/) must schedule
-//     deferred work through ExplorerModule::ScheduleGuarded; a raw
-//     Schedule() call whose callback captures `this` (or captures
-//     everything with [=]/[&]) outlives Complete() and dangles once the
-//     Discovery Manager destroys the module mid-tick.
+// compiler cannot check. Rules 1 to 4 moved into the compiler (DESIGN.md
+// §12): RequestType coverage is -Werror=switch / -Werror=switch-enum over
+// exhaustive switches; metric and span names are telemetry::MetricName /
+// SpanName, which a string literal does not convert to; and an explorer
+// module receives its host as an opaque Vantage that only ExplorerModule
+// opens, so ScheduleGuarded is its one way onto the event queue. The
+// remaining rules keep their numbers:
 //
 //  5. raw-thread — OS threads may only be created inside src/sim/runtime/
 //     (the WorkerPool owns thread lifetime, shutdown, and idle accounting);
@@ -59,8 +55,7 @@ namespace fremont::lint {
 struct Issue {
   std::string file;  // Repo-root-relative path.
   int line = 0;      // 1-based; 0 when the issue is file-level.
-  std::string rule;  // "unguarded-schedule", "raw-thread", "guard-annotations",
-                     // "lock-order".
+  std::string rule;  // "raw-thread", "guard-annotations", "lock-order".
   std::string message;
 
   std::string Format() const;  // "file:line: [rule] message"
@@ -72,7 +67,6 @@ struct Issue {
 std::string StripComments(const std::string& source);
 
 // Individual rules; `root` is the repo root holding src/.
-std::vector<Issue> CheckUnguardedSchedules(const std::string& root);
 std::vector<Issue> CheckRawThreads(const std::string& root);
 std::vector<Issue> CheckGuardAnnotations(const std::string& root);
 std::vector<Issue> CheckLockOrder(const std::string& root);

@@ -9,7 +9,7 @@
 //   fremont_report <journal-file> interfaces <network/prefix>
 //   fremont_report <journal-file> subnet <subnet/prefix>
 //   fremont_report <journal-file> topology [dot|snm]
-//   fremont_report <journal-file> problems [--from-serve]
+//   fremont_report <journal-file> problems
 //   fremont_report <journal-file> utilization
 //   fremont_report <journal-file> stats
 //   fremont_report <journal-file> --telemetry [telemetry-file]
@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,7 +47,7 @@
 #include "src/manager/module_registry.h"
 #include "src/manager/schedule.h"
 #include "src/present/views.h"
-#include "src/serve/serve.h"
+#include "src/serve/views.h"
 #include "src/telemetry/chrome_export.h"
 #include "src/telemetry/export.h"
 
@@ -64,9 +63,7 @@ int Usage(const char* argv0) {
                "  interfaces <net/prefix>     level-1 interface view\n"
                "  subnet <subnet/prefix>      level-2 subnet detail\n"
                "  topology [dot|snm]          topology export (default dot)\n"
-               "  problems [--from-serve]     run every analysis program (--from-serve reads\n"
-               "                              the serving layer's materialized view instead;\n"
-               "                              the bytes are identical by construction)\n"
+               "  problems                    run every analysis program\n"
                "  utilization                 subnet occupancy report\n"
                "  route <from/prefix> <to/prefix>  inferred gateway path\n"
                "  vendors                     interface counts by manufacturer\n"
@@ -189,22 +186,6 @@ int RunProblems(JournalClient& client, SimTime now) {
   return 0;
 }
 
-// --from-serve: stand up the serving layer over the loaded checkpoint, let
-// one Refresh() materialize the views, and print the problems view straight
-// from the published snapshot — what a subscribed dashboard would read.
-// Correlation is off: reporting must not mutate the checkpoint it analyzes.
-int RunProblemsFromServe(JournalServer& server, const std::function<SimTime()>& clock) {
-  serve::ServeService service(&server, clock, {.run_correlation = false});
-  service.Refresh();
-  const auto snap = service.ReadView(serve::ViewKind::kProblems);
-  if (snap == nullptr) {
-    std::fprintf(stderr, "error: serving layer published no snapshot\n");
-    return 1;
-  }
-  std::fputs(snap->view(serve::ViewKind::kProblems).c_str(), stdout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -279,9 +260,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "problems") {
-    if (argc >= 4 && std::strcmp(argv[3], "--from-serve") == 0) {
-      return RunProblemsFromServe(server, [&now] { return now; });
-    }
     return RunProblems(client, now);
   }
   if (command == "utilization") {
