@@ -50,14 +50,15 @@ int Main() {
   std::vector<Row> rows;
 
   // --- ARPwatch: passive, started at 10:00 on day 1, read at 30 min / 24 h.
+  // The watch outlasts the 24-hour window; Cancel() ends it.
   sim.RunUntil(SimTime::Epoch() + Duration::Hours(10));
-  ArpWatch arpwatch(dept.vantage, &client);
-  arpwatch.StartCapture();
+  ArpWatch arpwatch(dept.vantage, &client, {.watch = Duration::Days(2)});
+  arpwatch.Start();
   sim.RunFor(Duration::Minutes(30));
   rows.push_back({"ARPwatch", arpwatch.unique_ips_in(params.subnet), 34, "run for 30 min"});
   sim.RunFor(Duration::Hours(24) - Duration::Minutes(30));
   rows.push_back({"ARPwatch", arpwatch.unique_ips_in(params.subnet), 50, "run for 24 hours"});
-  arpwatch.StopCapture();
+  arpwatch.Cancel();
 
   // --- EtherHostProbe: day 2, 11:00 (daytime population).
   sim.RunUntil(SimTime::Epoch() + Duration::Hours(35));

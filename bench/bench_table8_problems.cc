@@ -36,10 +36,11 @@ int Main() {
   JournalServer server([&sim]() { return sim.Now(); });
   JournalClient client(&server);
 
-  // Phase 1 (day 1, daytime): full discovery.
+  // Phase 1 (day 1, daytime): full discovery. ARPwatch's watch outlasts the
+  // week-long window; Cancel() ends it.
   sim.RunUntil(SimTime::Epoch() + Duration::Hours(10));
-  ArpWatch arpwatch(dept.vantage, &client);
-  arpwatch.StartCapture();
+  ArpWatch arpwatch(dept.vantage, &client, {.watch = Duration::Days(8)});
+  arpwatch.Start();
   EtherHostProbe(dept.vantage, &client).Run();
   SubnetMaskExplorer(dept.vantage, &client).Run();
   RipWatch ripwatch(dept.vantage, &client, {.watch = Duration::Minutes(3)});
@@ -63,7 +64,7 @@ int Main() {
   // so the Journal remembers the old bindings far beyond any ARP cache TTL.
   sim.RunFor(Duration::Days(7));
   EtherHostProbe(dept.vantage, &client).Run();
-  arpwatch.StopCapture();
+  arpwatch.Cancel();
 
   // Analysis programs.
   const auto interfaces = client.GetInterfaces();

@@ -119,7 +119,7 @@ int main() {
   }
   // Can we reach the history server right now?
   bool reachable = false;
-  vantage->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  vantage->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       reachable = true;
     }

@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
   // whole fleet.
   int total_pushes = 0;
   for (int round = 0; round < 3; ++round) {
-    ArpWatch arpwatch(dept.vantage, &journal);
-    arpwatch.StartCapture();
+    // The watch outlasts the round; Cancel() ends it.
+    ArpWatch arpwatch(dept.vantage, &journal, {.watch = Duration::Hours(3)});
+    arpwatch.Start();
     EtherHostProbe(dept.vantage, &journal).Run();
     if (round == 1) {
       SubnetMaskExplorer(dept.vantage, &journal).Run();
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
       dept.churn->Decommission(dept.hosts[7]);
     }
     sim.RunFor(Duration::Hours(2));
-    arpwatch.StopCapture();
+    arpwatch.Cancel();
 
     const auto result = service.Refresh();
     total_pushes += result.pushes;

@@ -37,8 +37,10 @@ int main() {
   sim.RunUntil(SimTime::Epoch() + Duration::Hours(10));
 
   std::printf("Running discovery on %s ...\n", params.subnet.ToString().c_str());
-  ArpWatch arpwatch(dept.vantage, &journal);
-  arpwatch.StartCapture();
+  // Passive capture for the whole hunt: the watch outlasts it, and Cancel()
+  // ends it.
+  ArpWatch arpwatch(dept.vantage, &journal, {.watch = Duration::Days(5)});
+  arpwatch.Start();
   EtherHostProbe(dept.vantage, &journal).Run();
   SubnetMaskExplorer(dept.vantage, &journal).Run();
   RipWatch(dept.vantage, &journal, {.watch = Duration::Minutes(3)}).Run();
@@ -48,7 +50,7 @@ int main() {
   dept.churn->Decommission(dept.hosts[20]);
   sim.RunFor(Duration::Days(4));
   EtherHostProbe(dept.vantage, &journal).Run();
-  arpwatch.StopCapture();
+  arpwatch.Cancel();
 
   const auto interfaces = journal.GetInterfaces();
   const auto gateways = journal.GetGateways();

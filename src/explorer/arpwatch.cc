@@ -7,24 +7,8 @@ namespace fremont {
 ArpWatch::ArpWatch(Vantage vantage, JournalClient* journal, ArpWatchParams params)
     : ExplorerModule("arpwatch", "ARPwatch", vantage, journal), params_(params) {}
 
-bool ArpWatch::StartCapture() {
-  if (tapping()) {
-    return true;
-  }
-  if (!Tap([this](const EthernetFrame& frame, SimTime now) { OnFrame(frame, now); })) {
-    return false;
-  }
-  capture_started_ = vantage().Now();
-  return true;
-}
-
-void ArpWatch::StopCapture() {
-  Untap();
-  writer().Flush();
-}
-
 void ArpWatch::StartImpl() {
-  if (!StartCapture()) {
+  if (!Tap([this](const EthernetFrame& frame, SimTime now) { OnFrame(frame, now); })) {
     Complete();
     return;
   }
@@ -69,13 +53,6 @@ int ArpWatch::unique_ips_in(const Subnet& subnet) const {
     }
   }
   return static_cast<int>(ips.size());
-}
-
-ExplorerReport ArpWatch::report() const {
-  ExplorerReport report = CurrentReport();
-  report.started = capture_started_;
-  report.finished = vantage().Now();
-  return report;
 }
 
 }  // namespace fremont

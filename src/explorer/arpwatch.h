@@ -6,6 +6,14 @@
 // for long periods of time"; discovers only hosts that participate in ARP
 // exchanges — hence the time-dependent coverage of Table 5 (61% in 30
 // minutes, 89% after 24 hours on the paper's subnet).
+//
+// It runs through the same lifecycle as every module. A managed run taps
+// for `watch` and completes; an open-ended watcher Start()s it with a
+// `watch` longer than its window, samples the counts below mid-run, and
+// Cancel()s it, taking the final report from the completion callback.
+// Bindings queue in the module's writer, each stamped with the frame time
+// it was observed at, and reach the Journal when the run completes (or
+// earlier, when a read on the same client flushes the writer).
 
 #ifndef SRC_EXPLORER_ARPWATCH_H_
 #define SRC_EXPLORER_ARPWATCH_H_
@@ -19,7 +27,8 @@
 namespace fremont {
 
 struct ArpWatchParams {
-  // How long a managed run keeps the tap attached before reporting.
+  // How long a run keeps the tap attached before it completes (unless a
+  // Cancel() ends it sooner).
   Duration watch = Duration::Hours(1);
   // Re-writing an unchanged pair to the Journal is throttled to this period
   // (the record's last_verified still advances on each write).
@@ -30,24 +39,14 @@ class ArpWatch : public ExplorerModule {
  public:
   ArpWatch(Vantage vantage, JournalClient* journal, ArpWatchParams params = {});
 
-  // Attaches the tap. Requires "system privileges" in the original; here it
-  // requires the vantage host to have an attached segment. Callers that want
-  // an open-ended capture (no `watch` deadline) may drive these directly
-  // instead of Start()/Run(). Bindings queue in the module's writer, each
-  // stamped with the frame time it was observed at; StopCapture() flushes,
-  // so report() totals are final once the tap is detached.
-  bool StartCapture();
-  void StopCapture();
-
-  // Distinct (MAC, IP) pairs seen since StartCapture.
+  // Distinct (MAC, IP) pairs seen since Start().
   int unique_pairs_seen() const { return static_cast<int>(seen_.size()); }
   // Distinct IP addresses seen in one subnet (the Table 5 accounting unit).
   int unique_ips_in(const Subnet& subnet) const;
-  // Live snapshot of the watch so far (final once the tap is detached).
-  ExplorerReport report() const;
 
  protected:
-  // Managed lifecycle: attach the tap, report `watch` later.
+  // Attaches the tap ("system privileges" in the original; here, a vantage
+  // with an attached segment) and completes `watch` later.
   void StartImpl() override;
 
  private:
@@ -55,7 +54,6 @@ class ArpWatch : public ExplorerModule {
   void Observe(MacAddress mac, Ipv4Address ip, SimTime now);
 
   ArpWatchParams params_;
-  SimTime capture_started_;
   std::map<std::pair<uint64_t, uint32_t>, SimTime> seen_;  // (mac, ip) → last write.
 };
 

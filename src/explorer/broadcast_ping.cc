@@ -9,8 +9,8 @@ BroadcastPing::BroadcastPing(Vantage vantage, JournalClient* journal, BroadcastP
     : ExplorerModule("broadcastping", "BrdcastPing", vantage, journal), params_(params) {}
 
 void BroadcastPing::StartImpl() {
-  Interface* iface = vantage().primary_interface();
-  if (iface == nullptr) {
+  const std::optional<VantageInterface> iface = vantage().primary_interface();
+  if (!iface.has_value()) {
     Complete();
     return;
   }
@@ -46,10 +46,7 @@ void BroadcastPing::StartImpl() {
       }
     }
   }
-  ScheduleGuarded(params_.spacing * params_.pings + params_.collect, [this]() {
-    Finish();
-    Complete();
-  });
+  ScheduleGuarded(params_.spacing * params_.pings + params_.collect, [this]() { Complete(); });
 }
 
 void BroadcastPing::Finish() {
@@ -61,7 +58,5 @@ void BroadcastPing::Finish() {
   }
   mutable_report().discovered = static_cast<int>(replied_.size());
 }
-
-void BroadcastPing::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -40,11 +40,10 @@ class BroadcastPing : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Records every responder.
+  void Finish() override;
 
  private:
-  void Finish();
-
   BroadcastPingParams params_;
   std::set<uint32_t> replied_;
   std::vector<Ipv4Address> responders_;

@@ -16,8 +16,6 @@ constexpr uint16_t kMaskIdent = 0x444d;
 DnsExplorer::DnsExplorer(Vantage vantage, JournalClient* journal, DnsExplorerParams params)
     : ExplorerModule("dns", "DNS", vantage, journal), params_(std::move(params)) {}
 
-void DnsExplorer::CancelImpl() { FinishReport(); }
-
 void DnsExplorer::StartQuery(const std::string& name, DnsType qtype,
                              std::function<void(std::optional<DnsMessage>)> then) {
   DnsMessage query;
@@ -171,7 +169,6 @@ void DnsExplorer::StartImpl() {
   StartZoneTransfer(reverse_zone, [this, reverse_zone](std::vector<DnsResourceRecord> transfer) {
     if (transfer.empty()) {
       FLOG(kWarning) << "dns: zone transfer of " << reverse_zone << " failed";
-      FinishReport();
       Complete();
       return;
     }
@@ -342,10 +339,9 @@ void DnsExplorer::Analyze() {
       writer().StoreInterface(obs, DiscoverySource::kDns);
     }
   }
-  FinishReport();
   Complete();
 }
 
-void DnsExplorer::FinishReport() { mutable_report().discovered = interfaces_found(); }
+void DnsExplorer::Finish() { mutable_report().discovered = interfaces_found(); }
 
 }  // namespace fremont

@@ -68,7 +68,8 @@ class DnsExplorer : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Settles the report: discovered is the zone's distinct addresses.
+  void Finish() override;
 
  private:
   // Event-driven query primitives: each binds/sends/schedules and invokes
@@ -89,7 +90,6 @@ class DnsExplorer : public ExplorerModule {
   void BeginForwardLookups();
   void NextForwardLookup(size_t index);
   void Analyze();
-  void FinishReport();
 
   bool MatchesGatewayConvention(const std::string& name) const;
 

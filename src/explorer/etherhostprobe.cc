@@ -13,8 +13,8 @@ EtherHostProbe::EtherHostProbe(Vantage vantage, JournalClient* journal,
     : ExplorerModule("etherhostprobe", "EtherHostProbe", vantage, journal), params_(params) {}
 
 void EtherHostProbe::StartImpl() {
-  Interface* iface = vantage().primary_interface();
-  if (iface == nullptr || iface->segment == nullptr) {
+  const std::optional<VantageInterface> iface = vantage().primary_interface();
+  if (!iface.has_value() || !iface->on_segment) {
     FLOG(kError) << "etherhostprobe: vantage host has no attached segment";
     Complete();
     return;
@@ -44,16 +44,13 @@ void EtherHostProbe::StartImpl() {
       }
     });
   }
-  ScheduleGuarded(spacing * count + params_.settle, [this]() {
-    Harvest();
-    Complete();
-  });
+  ScheduleGuarded(spacing * count + params_.settle, [this]() { Complete(); });
 }
 
 // Read the local ARP table — the kernel did the discovery for us.
-void EtherHostProbe::Harvest() {
+void EtherHostProbe::Finish() {
   std::map<uint64_t, std::vector<ArpCache::Entry>> by_mac;
-  for (const auto& entry : vantage().arp_cache().Snapshot(vantage().Now())) {
+  for (const auto& entry : vantage().ArpTable()) {
     if (entry.ip >= first_ && entry.ip <= last_) {
       by_mac[entry.mac.ToU64()].push_back(entry);
     }
@@ -78,7 +75,5 @@ void EtherHostProbe::Harvest() {
   }
   report.replies_received = static_cast<uint64_t>(report.discovered);
 }
-
-void EtherHostProbe::CancelImpl() { Harvest(); }
 
 }  // namespace fremont

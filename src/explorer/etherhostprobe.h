@@ -39,11 +39,11 @@ class EtherHostProbe : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Harvests the vantage's ARP table: the bindings the probes made the
+  // local stack resolve.
+  void Finish() override;
 
  private:
-  void Harvest();
-
   EtherHostProbeParams params_;
   Ipv4Address first_;
   Ipv4Address last_;

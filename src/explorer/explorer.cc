@@ -73,14 +73,6 @@ void ExplorerModule::Start(CompletionFn done) {
   StartImpl();
 }
 
-void ExplorerModule::Cancel() {
-  if (!running_) {
-    return;
-  }
-  CancelImpl();
-  Complete();
-}
-
 void ExplorerModule::Complete() {
   if (finished_ || !started_) {
     return;
@@ -94,11 +86,16 @@ void ExplorerModule::Complete() {
   // even a holder that already upgraded its weak_ptr observes the kill.
   alive_->store(false, std::memory_order_release);
   alive_.reset();
+  // The module's findings, written while its registrations still stand and
+  // its writer still holds its stores. finished_ is already set, so this is
+  // the hook's one run even if something in it calls Complete() again.
+  Finish();
   ReleaseRegistrations();
   if (writer_.has_value()) {
     writer_->Flush();
+    report_.records_written = writer_->totals().records_written;
+    report_.new_info = writer_->totals().new_info;
   }
-  report_ = CurrentReport();
   report_.finished = host_->Now();
   RecordModuleReport(key_, report_);
   if (run_span_.has_value()) {
@@ -142,15 +139,6 @@ void ExplorerModule::ScheduleGuarded(Duration delay, std::function<void()> fn) {
       fn();
     }
   });
-}
-
-ExplorerReport ExplorerModule::CurrentReport() const {
-  ExplorerReport report = report_;
-  if (writer_.has_value()) {
-    report.records_written = writer_->totals().records_written;
-    report.new_info = writer_->totals().new_info;
-  }
-  return report;
 }
 
 bool ExplorerModule::SendUdp(Ipv4Address dst, uint16_t src_port, uint16_t dst_port,

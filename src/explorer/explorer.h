@@ -10,8 +10,9 @@
 //
 // Modules share one cooperative, non-blocking lifecycle (ExplorerModule):
 // Start(done) schedules the module's own probe/timeout events on the event
-// queue and returns immediately; when the module's work completes it invokes
-// the completion callback with its final report. Nothing blocks, so the
+// queue and returns immediately; when the module's work completes, or a
+// caller Cancel()s it, its end-of-run hook writes what it gathered and the
+// completion callback receives the final report. Nothing blocks, so the
 // Discovery Manager can launch every due module into a single event-queue
 // pass and overlap their probe waits. The blocking Run() wrapper drives the
 // queue until completion for callers that want the old synchronous shape.
@@ -51,13 +52,37 @@ struct ExplorerReport {
   std::string Summary() const;
 };
 
-// The host a module runs from, as the module's constructor receives it. A
-// Host* converts to it, so callers pass the host as before, but only
-// ExplorerModule can open it: a module cannot keep the Host*, so it cannot
-// reach Host::events() and schedule around ScheduleGuarded (DESIGN.md §12).
+// The vantage host's primary interface as a module reads it: a copy of its
+// address and mask, and whether it is attached to a segment.
+struct VantageInterface {
+  Ipv4Address ip;
+  SubnetMask mask;
+  bool on_segment = false;
+
+  Subnet AttachedSubnet() const { return Subnet(ip, mask); }
+};
+
+// The host a module runs from. A Host* converts to it, so callers pass the
+// host as before. A module reads it only as values (the clock, a copy of the
+// primary interface, the ARP table), and only ExplorerModule can open it: a
+// module cannot keep the Host*, so it cannot schedule around
+// ScheduleGuarded, and it sends and registers only through the base class
+// (DESIGN.md §10, §12).
 class Vantage {
  public:
   Vantage(Host* host) : host_(host) {}
+
+  SimTime Now() const { return host_->Now(); }
+  // Nullopt if the host has no interface.
+  std::optional<VantageInterface> primary_interface() const {
+    const Interface* iface = host_->primary_interface();
+    if (iface == nullptr) {
+      return std::nullopt;
+    }
+    return VantageInterface{iface->ip, iface->mask, iface->segment != nullptr};
+  }
+  // The live ARP table in ascending-IP order: what `arp -a` prints.
+  std::vector<ArpCache::Entry> ArpTable() const { return host_->arp_cache().Snapshot(Now()); }
 
  private:
   friend class ExplorerModule;
@@ -67,19 +92,23 @@ class Vantage {
 // Uniform Explorer Module lifecycle. A module instance is single-shot:
 //
 //   idle --Start(done)--> running --Complete()--> finished
-//                            |                        ^
-//                            +--------Cancel()--------+
+//                            |           ^
+//                            +-Cancel()--+
 //
 // Start() stamps the report, opens the telemetry run span, and calls the
 // module's StartImpl(), which schedules events and attaches listeners but
-// never drives the queue. When the module's last event fires it calls
-// Complete(), which undoes the module's registrations, flushes its writer,
-// closes the span, publishes the per-module counters, and invokes the
+// never drives the queue. The run ends in Complete(): the module calls it
+// when its last event fires (or straight from StartImpl() when there is
+// nothing to do), and Cancel() calls it early. Complete() runs the module's
+// Finish() hook once, then undoes the module's registrations, flushes its
+// writer, closes the span, publishes the per-module counters, and invokes the
 // completion callback — the callback is the last thing that touches the
 // object, so it may destroy the module. Events a module leaves behind in the
 // queue (e.g. probe timeouts outlived by their replies) are guarded by a
 // liveness token and become no-ops once the run has completed (Complete()
-// drops the token), even while the instance itself lives on.
+// drops the token), even while the instance itself lives on. A passive
+// watcher (ARPwatch, RIPwatch) runs the same way: Start() it with a `watch`
+// longer than the window of interest and Cancel() it when done.
 class ExplorerModule {
  public:
   using CompletionFn = std::function<void(const ExplorerReport&)>;
@@ -94,9 +123,9 @@ class ExplorerModule {
   // vantage interface, nothing to probe).
   void Start(CompletionFn done = nullptr);
 
-  // Tears the run down early: detaches listeners/taps, writes whatever was
-  // gathered so far, and fires the completion callback. No-op unless running.
-  void Cancel();
+  // Ends the run early through Complete(), so the module writes what it has
+  // gathered so far and the completion callback fires. No-op unless running.
+  void Cancel() { Complete(); }
 
   // Blocking convenience: Start() and drive the event queue until the module
   // completes. The pre-refactor behaviour, kept for tests and one-off tools.
@@ -118,15 +147,18 @@ class ExplorerModule {
   // events. Must arrange for Complete() to eventually run (directly for
   // degenerate cases).
   virtual void StartImpl() = 0;
-  // Module-specific work for Cancel(): write what was gathered and settle
-  // the report; Cancel() calls Complete() afterwards, which detaches.
-  virtual void CancelImpl() {}
+  // The end-of-run hook: write what the run gathered and settle the report.
+  // Complete() runs it exactly once, however the run ends, while the
+  // module's registrations are still in place and before the writer is
+  // flushed. Never call it directly.
+  virtual void Finish() {}
 
-  // Finalizes the run: undoes the registrations, flushes the writer into
-  // records_written/new_info, stamps report.finished, publishes telemetry,
-  // fires the completion callback. Idempotent; after the callback returns
-  // nothing touches the object (the callback may destroy it). Not callable
-  // from inside a tap callback (Untap() below).
+  // Finalizes the run: runs Finish(), undoes the registrations, flushes the
+  // writer into records_written/new_info, stamps report.finished, publishes
+  // telemetry, fires the completion callback. Idempotent, and a no-op before
+  // Start(); after the callback returns nothing touches the object (the
+  // callback may destroy it). Not callable from inside a tap callback: it
+  // removes the tap while the segment is iterating its taps.
   void Complete();
 
   // Schedules `fn` after `delay`; the event is dropped if the run has
@@ -136,16 +168,15 @@ class ExplorerModule {
   // module can be destroyed.
   void ScheduleGuarded(Duration delay, std::function<void()> fn);
 
-  // Read-only: a module sends and registers only through the calls below.
-  const Host& vantage() const { return *host_; }
+  // Read-only values: a module sends and registers only through the calls
+  // below.
+  Vantage vantage() const { return host_; }
   JournalClient* journal() const { return journal_; }
   // The module's Journal writer, stamped with the vantage clock and created
   // with the module (so its place in the client's flush order is fixed at
   // construction). Requires a journal.
   JournalBatchWriter& writer() { return *writer_; }
   ExplorerReport& mutable_report() { return report_; }
-  // The report so far, with the writer's totals as of its last flush.
-  ExplorerReport CurrentReport() const;
 
   // Counted sends: each packet the vantage accepts adds one to packets_sent.
   bool SendUdp(Ipv4Address dst, uint16_t src_port, uint16_t dst_port, ByteBuffer payload,
@@ -153,21 +184,19 @@ class ExplorerModule {
   bool SendIcmp(Ipv4Address dst, const IcmpMessage& message, uint8_t ttl = 64);
 
   // Registrations on the vantage and its segment. The module records each
-  // one it makes; the matching Un* call undoes one early, and Complete() and
-  // the destructor undo the rest. None of them touches a registration this
+  // one it makes; Unlisten/UnbindUdp undo one early, and Complete() and the
+  // destructor undo the rest. None of them touches a registration this
   // module did not make.
   int ListenIcmp(Host::IcmpListener listener);  // Returns the token for Unlisten.
   void Unlisten(int token);
   bool BindUdp(uint16_t port, Host::UdpHandler handler);  // False if the port is taken.
   void UnbindUdp(uint16_t port);
   // Taps the vantage's segment; false, and logged, if it has none. A module
-  // holds one tap, so a second Tap() replaces the first. Never Untap() from
-  // inside the tap callback: the segment is iterating its taps.
+  // holds one tap, so a second Tap() replaces the first.
   bool Tap(Segment::TapFn tap);
-  void Untap();
-  bool tapping() const { return tap_.has_value(); }
 
  private:
+  void Untap();
   void ReleaseRegistrations();
 
   std::string key_;

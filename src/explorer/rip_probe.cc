@@ -16,8 +16,8 @@ RipProbe::RipProbe(Vantage vantage, JournalClient* journal, RipProbeParams param
     : ExplorerModule("ripprobe", "RIPprobe", vantage, journal), params_(std::move(params)) {}
 
 Subnet RipProbe::InferSubnet(Ipv4Address advertised) const {
-  Interface* iface = vantage().primary_interface();
-  if (iface != nullptr) {
+  const std::optional<VantageInterface> iface = vantage().primary_interface();
+  if (iface.has_value()) {
     const Subnet classful(iface->ip, iface->ip.NaturalMask());
     if (classful.Contains(advertised)) {
       return Subnet(advertised, SubnetMask::FromPrefixLength(params_.assumed_prefix));
@@ -55,7 +55,6 @@ void RipProbe::StartImpl() {
 
 void RipProbe::ProbeNext(size_t index) {
   if (index >= targets_.size()) {
-    Finish();
     Complete();
     return;
   }
@@ -137,7 +136,5 @@ void RipProbe::Finish() {
         ->Add(static_cast<int64_t>(silent_.size()));
   }
 }
-
-void RipProbe::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -52,12 +52,13 @@ class RipProbe : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Writes each answering router as a RIP source and a gateway connected to
+  // its metric-1 subnets.
+  void Finish() override;
 
  private:
   Subnet InferSubnet(Ipv4Address advertised) const;
   void ProbeNext(size_t index);
-  void Finish();
 
   RipProbeParams params_;
   std::vector<Ipv4Address> targets_;

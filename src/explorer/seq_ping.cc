@@ -15,8 +15,8 @@ SeqPing::SeqPing(Vantage vantage, JournalClient* journal, SeqPingParams params)
     : ExplorerModule("seqping", "SeqPing", vantage, journal), params_(params) {}
 
 void SeqPing::StartImpl() {
-  Interface* iface = vantage().primary_interface();
-  if (iface == nullptr) {
+  const std::optional<VantageInterface> iface = vantage().primary_interface();
+  if (!iface.has_value()) {
     Complete();
     return;
   }
@@ -57,7 +57,6 @@ void SeqPing::BeginPass(int pass) {
     }
   }
   if (to_probe.empty()) {
-    Finish();
     Complete();
     return;
   }
@@ -72,7 +71,6 @@ void SeqPing::BeginPass(int pass) {
     if (pass + 1 < kPasses) {
       BeginPass(pass + 1);
     } else {
-      Finish();
       Complete();
     }
   });
@@ -95,7 +93,5 @@ void SeqPing::Finish() {
   }
   telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kSeqPingTimeouts)->Add(silent);
 }
-
-void SeqPing::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -32,11 +32,11 @@ class SeqPing : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Records every responder and counts the addresses that stayed silent.
+  void Finish() override;
 
  private:
   void BeginPass(int pass);
-  void Finish();
 
   SeqPingParams params_;
   std::vector<Ipv4Address> targets_;

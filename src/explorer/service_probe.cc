@@ -48,7 +48,6 @@ void ServiceProbe::StartImpl() {
 
 void ServiceProbe::ProbeNext(size_t target_index, size_t service_index) {
   if (target_index >= targets_.size()) {
-    Finish();
     Complete();
     return;
   }
@@ -157,7 +156,5 @@ void ServiceProbe::Finish() {
   }
   mutable_report().discovered = services_found_;
 }
-
-void ServiceProbe::CancelImpl() { Finish(); }
 
 }  // namespace fremont

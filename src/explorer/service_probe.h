@@ -46,7 +46,9 @@ class ServiceProbe : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Settles the report and counts the probes that timed out. Each target's
+  // services were written as it finished.
+  void Finish() override;
 
  private:
   // Launches the probe for targets_[target_index] × services[service_index];
@@ -54,7 +56,6 @@ class ServiceProbe : public ExplorerModule {
   // the module's writer as each target completes, stamped with the probe
   // time.
   void ProbeNext(size_t target_index, size_t service_index);
-  void Finish();
 
   ServiceProbeParams params_;
   std::vector<Ipv4Address> targets_;

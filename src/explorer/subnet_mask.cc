@@ -51,10 +51,7 @@ void SubnetMaskExplorer::StartImpl() {
     });
     ++seq;
   }
-  ScheduleGuarded(params_.interval * seq + params_.reply_timeout, [this]() {
-    Finish();
-    Complete();
-  });
+  ScheduleGuarded(params_.interval * seq + params_.reply_timeout, [this]() { Complete(); });
 }
 
 void SubnetMaskExplorer::Finish() {
@@ -92,7 +89,5 @@ void SubnetMaskExplorer::Finish() {
   registry.GetCounter(telemetry::names::kSubnetMasksNegativeCacheSkips)
       ->Add(static_cast<uint64_t>(skipped_ > 0 ? skipped_ : 0));
 }
-
-void SubnetMaskExplorer::CancelImpl() { Finish(); }
 
 }  // namespace fremont

@@ -39,11 +39,10 @@ class SubnetMaskExplorer : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Records every contiguous mask heard and feeds the negative cache.
+  void Finish() override;
 
  private:
-  void Finish();
-
   SubnetMaskParams params_;
   std::vector<Ipv4Address> targets_;
   std::map<uint32_t, uint32_t> replies_;  // Source ip → raw mask.

@@ -40,8 +40,7 @@ void Traceroute::StartImpl() {
     }
   }
   // Never trace towards our own subnet.
-  Interface* iface = vantage().primary_interface();
-  if (iface != nullptr) {
+  if (const auto iface = vantage().primary_interface(); iface.has_value()) {
     const Subnet own = iface->AttachedSubnet();
     std::erase_if(targets_, [&](const Subnet& s) { return s == own; });
   }
@@ -74,18 +73,13 @@ void Traceroute::StartImpl() {
 }
 
 void Traceroute::MaybeFinish() {
-  if (finished() || !AllDone()) {
-    return;
+  if (AllDone()) {
+    Complete();
   }
-  CancelImpl();
-  Complete();
 }
 
-// Shared finish: collate, write findings, settle the report. Runs once —
-// from MaybeFinish when the last probe resolves, or early via Cancel().
-void Traceroute::CancelImpl() {
+void Traceroute::Finish() {
   // Collate per-target results.
-  results_.clear();
   for (size_t t = 0; t < targets_.size(); ++t) {
     TraceResult result;
     result.target = targets_[t];

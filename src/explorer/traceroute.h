@@ -89,7 +89,8 @@ class Traceroute : public ExplorerModule {
 
  protected:
   void StartImpl() override;
-  void CancelImpl() override;
+  // Collates the per-address traces into results() and writes the findings.
+  void Finish() override;
 
  private:
   struct AddressTrace {
@@ -111,7 +112,7 @@ class Traceroute : public ExplorerModule {
   void AdvanceAfterTimeout(size_t trace_index, int ttl, int attempt);
   void AdvanceTrace(size_t trace_index, bool got_reply);
   bool AllDone() const;
-  // Collates results, writes findings, and Complete()s once AllDone().
+  // Complete()s once AllDone().
   void MaybeFinish();
   void WriteFindings();
   Subnet AssumedSubnet(Ipv4Address ip) const;

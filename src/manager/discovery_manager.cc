@@ -155,6 +155,10 @@ void DiscoveryManager::FinishModule(ModuleState& state, const ExplorerReport& re
 }
 
 size_t DiscoveryManager::BeginTick(std::vector<ExplorerReport>* reports) {
+  return LaunchDue(reports, /*drive_each=*/false);
+}
+
+size_t DiscoveryManager::LaunchDue(std::vector<ExplorerReport>* reports, bool drive_each) {
   telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kManagerTicks)->Increment();
   const SimTime now = events_->Now();
   std::vector<ModuleState*> due;
@@ -178,13 +182,17 @@ size_t DiscoveryManager::BeginTick(std::vector<ExplorerReport>* reports) {
 
   // Cooperative launch: every due module schedules its probes into the same
   // event-queue pass (or, under the sharded runtime, onto its home shard's
-  // queue), overlapping their reply/timeout waits.
-  if (due.size() >= 2) {
+  // queue), overlapping their reply/timeout waits. Serial mode runs each
+  // module to completion before launching the next.
+  if (!drive_each && due.size() >= 2) {
     telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kManagerConcurrentRuns)->Increment();
   }
   const telemetry::CurrentSpanScope scope(telemetry::Tracer::Global(), tick_span_->context());
   for (ModuleState* state : due) {
     LaunchModule(*state, reports);
+    if (drive_each) {
+      events_->RunWhile([this]() { return in_flight_ > 0; });
+    }
   }
   return due.size();
 }
@@ -215,35 +223,9 @@ void DiscoveryManager::EndTick() {
 
 std::vector<ExplorerReport> DiscoveryManager::Tick() {
   std::vector<ExplorerReport> reports;
-  if (serial_) {
-    // Historical order: each due module runs to completion before the next
-    // starts, exactly as the blocking Run() loop did.
-    telemetry::MetricsRegistry::Global().GetCounter(telemetry::names::kManagerTicks)->Increment();
-    const SimTime now = events_->Now();
-    std::vector<ModuleState*> due;
-    for (auto& state : modules_) {
-      if (state.schedule.NextDue() <= now) {
-        due.push_back(&state);
-      }
-    }
-    if (due.empty()) {
-      return reports;
-    }
-    telemetry::Span tick_span(telemetry::names::kSpanManagerTick, now);
-    for (ModuleState* state : due) {
-      LaunchModule(*state, &reports);
-      events_->RunWhile([this]() { return in_flight_ > 0; });
-    }
-    running_.clear();
-    if (correlation_.has_value() && journal_ != nullptr) {
-      last_correlation_ = correlation_->Update(*journal_, events_->Now());
-    }
-    tick_span.End(telemetry::TraceEventKind::kManagerTick, events_->Now(),
-                  StringPrintf("modules=%zu", due.size()));
-    return reports;
-  }
-
-  if (BeginTick(&reports) > 0) {
+  // Serial mode has already driven each module to completion; the drive
+  // below then finds nothing in flight.
+  if (LaunchDue(&reports, serial_) > 0) {
     events_->RunWhile([this]() { return in_flight_ > 0; });
   }
   EndTick();

@@ -65,7 +65,8 @@ class DiscoveryManager {
   // queue(s) until in_flight() drops to zero, then EndTick() retires the
   // spent instances, folds correlation, and closes the tick span. Reports
   // accumulate into `*reports`, which must outlive the whole tick.
-  // Tick() (concurrent mode) is exactly BeginTick + drive + EndTick.
+  // Tick() is exactly BeginTick + drive + EndTick; serial mode differs only
+  // in driving the queue after each launch.
   size_t BeginTick(std::vector<ExplorerReport>* reports);
   void EndTick();
   int in_flight() const { return in_flight_; }
@@ -112,6 +113,10 @@ class DiscoveryManager {
   const std::deque<ModuleState>& modules() const { return modules_; }
 
  private:
+  // BeginTick's body: counts the tick, opens its span and launches every due
+  // module. With `drive_each` (serial mode) it drives the queue after each
+  // launch until that module completes. Returns how many were due.
+  size_t LaunchDue(std::vector<ExplorerReport>* reports, bool drive_each);
   // Starts `state`'s module; FinishModule() runs from its completion
   // callback (adaptation, schedule stamping, telemetry).
   void LaunchModule(ModuleState& state, std::vector<ExplorerReport>* reports);

@@ -171,18 +171,6 @@ int Host::AddIcmpListener(IcmpListener listener) {
 
 void Host::RemoveIcmpListener(int token) { icmp_listeners_.erase(token); }
 
-void Host::SetIcmpListener(IcmpListener listener) {
-  ClearIcmpListener();
-  legacy_icmp_token_ = AddIcmpListener(std::move(listener));
-}
-
-void Host::ClearIcmpListener() {
-  if (legacy_icmp_token_ >= 0) {
-    RemoveIcmpListener(legacy_icmp_token_);
-    legacy_icmp_token_ = -1;
-  }
-}
-
 void Host::TransmitViaArp(Interface* iface, Ipv4Address next_hop_ip, Ipv4Packet packet) {
   ++packets_sent_;
   if (auto mac = arp_cache_.Lookup(next_hop_ip, Now()); mac.has_value()) {

@@ -115,11 +115,7 @@ class Host : public FrameSink {
   using IcmpListener = std::function<void(const Ipv4Packet&, const IcmpMessage&)>;
   int AddIcmpListener(IcmpListener listener);
   void RemoveIcmpListener(int token);
-  // Legacy single-slot interface: manages one dedicated listener slot on top
-  // of Add/Remove (Set replaces the slot, Clear empties it). Listeners added
-  // via AddIcmpListener are unaffected.
-  void SetIcmpListener(IcmpListener listener);
-  void ClearIcmpListener();
+  size_t icmp_listener_count() const { return icmp_listeners_.size(); }
 
   // Binds a UDP port. The handler receives the enclosing IP packet too (for
   // source addresses). Returns false if the port is already bound.
@@ -129,7 +125,6 @@ class Host : public FrameSink {
 
   // The local ARP table (what `arp -a` shows); EtherHostProbe reads this.
   ArpCache& arp_cache() { return arp_cache_; }
-  const ArpCache& arp_cache() const { return arp_cache_; }
 
   // True if `ip` is assigned to one of this host's interfaces.
   bool OwnsAddress(Ipv4Address ip) const;
@@ -210,7 +205,6 @@ class Host : public FrameSink {
 
   std::map<int, IcmpListener> icmp_listeners_;
   int next_icmp_token_ = 0;
-  int legacy_icmp_token_ = -1;  // Slot owned by Set/ClearIcmpListener.
   std::map<uint16_t, UdpHandler> udp_handlers_;
 };
 

@@ -139,6 +139,7 @@ class Segment {
   using TapFn = std::function<void(const EthernetFrame&, SimTime)>;
   int AddTap(TapFn tap);
   void RemoveTap(int token);
+  size_t tap_count() const { return taps_.size(); }
 
   const SegmentStats& stats() const { return stats_; }
   // Frames transmitted in the window [since, now]; benches use this to

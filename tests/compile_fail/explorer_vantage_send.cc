@@ -1,6 +1,7 @@
-// Must not compile: a module reaches its vantage host only through the const
-// vantage() accessor, so every send goes through ExplorerModule::SendUdp /
-// SendIcmp, which charge the packet to the module's packets_sent.
+// Must not compile: a module reads its vantage host only as values through
+// vantage(), which has no send path, so every send goes through
+// ExplorerModule::SendUdp / SendIcmp, which charge the packet to the
+// module's packets_sent.
 
 #include "src/explorer/explorer.h"
 

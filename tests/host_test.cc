@@ -74,7 +74,7 @@ TEST_F(HostTest, ArpCacheExpires) {
 
 TEST_F(HostTest, EchoRequestGetsReply) {
   int replies = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       EXPECT_EQ(packet.src, bob_->primary_interface()->ip);
       EXPECT_EQ(message.identifier, 77);
@@ -89,7 +89,7 @@ TEST_F(HostTest, EchoRequestGetsReply) {
 TEST_F(HostTest, EchoDisabledHostIsSilent) {
   bob_->config().responds_to_echo = false;
   int replies = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++replies;
     }
@@ -101,7 +101,7 @@ TEST_F(HostTest, EchoDisabledHostIsSilent) {
 
 TEST_F(HostTest, BroadcastPingAnswered) {
   int replies = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++replies;
     }
@@ -119,7 +119,7 @@ TEST_F(HostTest, BroadcastPingAnswered) {
 
 TEST_F(HostTest, MaskRequestHonest) {
   uint32_t mask = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kMaskReply) {
       mask = message.address_mask;
     }
@@ -132,7 +132,7 @@ TEST_F(HostTest, MaskRequestHonest) {
 TEST_F(HostTest, MaskRequestMisconfigured) {
   bob_->config().wrong_advertised_mask = SubnetMask::FromPrefixLength(16);
   uint32_t mask = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kMaskReply) {
       mask = message.address_mask;
     }
@@ -145,7 +145,7 @@ TEST_F(HostTest, MaskRequestMisconfigured) {
 TEST_F(HostTest, MaskRequestCanBeDisabled) {
   bob_->config().responds_to_mask_request = false;
   bool any = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { any = true; });
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { any = true; });
   alice_->SendIcmp(bob_->primary_interface()->ip, IcmpMessage::MaskRequest(1, 1));
   sim_.events().RunUntilIdle();
   EXPECT_FALSE(any);
@@ -163,7 +163,7 @@ TEST_F(HostTest, UdpEchoService) {
 
 TEST_F(HostTest, UnboundPortYieldsPortUnreachable) {
   bool unreachable = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kDestUnreachable &&
         message.code == static_cast<uint8_t>(IcmpUnreachableCode::kPortUnreachable)) {
       // The embedded original datagram must identify the offending probe.
@@ -180,7 +180,7 @@ TEST_F(HostTest, UnboundPortYieldsPortUnreachable) {
 
 TEST_F(HostTest, BroadcastUdpNeverTriggersUnreachable) {
   bool any_icmp = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { any_icmp = true; });
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { any_icmp = true; });
   Ipv4Packet packet;
   packet.protocol = IpProtocol::kUdp;
   packet.src = alice_->primary_interface()->ip;
@@ -252,7 +252,7 @@ TEST_F(HostTest, CorruptBroadcastReachesNoHandlerValidOneReachesEvery) {
 
 TEST_F(HostTest, HostZeroAccepted) {
   bool unreachable = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
     if (message.type == IcmpType::kDestUnreachable) {
       EXPECT_EQ(packet.src, bob_->primary_interface()->ip);
       unreachable = true;
@@ -293,7 +293,7 @@ TEST_F(HostTest, HostZeroAccepted) {
 TEST_F(HostTest, DownHostAnswersNothing) {
   bob_->SetUp(false);
   int events = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { ++events; });
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { ++events; });
   alice_->SendIcmp(bob_->primary_interface()->ip, IcmpMessage::EchoRequest(1, 1));
   alice_->SendUdp(bob_->primary_interface()->ip, 1, kUdpEchoPort, {});
   sim_.events().RunUntilIdle();
@@ -371,7 +371,7 @@ TEST(HostReflectTtlTest, TracerouteTerminalResolvesAtRoundTripTtl) {
   // A probe with round-trip TTL gets an answer; one with only one-way TTL
   // does not, because the buggy destination reflects the remaining TTL.
   int unreachables = 0;
-  vantage->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  vantage->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kDestUnreachable) {
       ++unreachables;
     }

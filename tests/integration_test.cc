@@ -83,13 +83,13 @@ TEST_F(DepartmentIntegrationTest, BroadcastPingSuffersCollisions) {
 }
 
 TEST_F(DepartmentIntegrationTest, ArpWatchSeesTalkersOverTime) {
-  ArpWatch watch(dept_.vantage, client_.get());
-  watch.StartCapture();
+  ArpWatch watch(dept_.vantage, client_.get(), {.watch = Duration::Days(2)});
+  watch.Start();
   sim_.RunFor(Duration::Minutes(30));
   const int after_30min = watch.unique_pairs_seen();
   sim_.RunFor(Duration::Hours(24) - Duration::Minutes(30));
   const int after_24h = watch.unique_pairs_seen();
-  watch.StopCapture();
+  watch.Cancel();
   EXPECT_GT(after_30min, 10);
   EXPECT_GT(after_24h, after_30min);
   EXPECT_GT(after_24h, 40);

@@ -115,7 +115,7 @@ class FakeModule : public ExplorerModule {
     int yield = 0;     // Becomes discovered/records_written/new_info.
     uint64_t packets_sent = 0;
     uint64_t replies_received = 0;
-    std::function<void()> on_complete;  // Runs just before Complete().
+    std::function<void()> on_complete;  // Runs in the end-of-run hook.
   };
 
   FakeModule(const std::string& name, Host* vantage, Config config)
@@ -123,11 +123,10 @@ class FakeModule : public ExplorerModule {
 
  protected:
   void StartImpl() override {
-    ScheduleGuarded(config_.runtime, [this]() { Finish(); });
+    ScheduleGuarded(config_.runtime, [this]() { Complete(); });
   }
 
- private:
-  void Finish() {
+  void Finish() override {
     ExplorerReport& report = mutable_report();
     report.discovered = config_.yield;
     report.records_written = config_.yield;
@@ -137,9 +136,9 @@ class FakeModule : public ExplorerModule {
     if (config_.on_complete) {
       config_.on_complete();
     }
-    Complete();
   }
 
+ private:
   Config config_;
 };
 

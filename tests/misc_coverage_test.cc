@@ -35,8 +35,8 @@ TEST(JournalMemoryVsArpCacheTest, JournalRemembersWhatTheCacheForgets) {
 
   JournalServer server([&sim]() { return sim.Now(); });
   JournalClient client(&server);
-  ArpWatch watch(vantage, &client);
-  watch.StartCapture();
+  ArpWatch watch(vantage, &client, {.watch = Duration::Hours(5)});  // Outlasts the window.
+  watch.Start();
 
   // Morning: the first claimant talks.
   first->SendUdp(subnet.HostAt(9), 1, 5000, {});
@@ -48,7 +48,7 @@ TEST(JournalMemoryVsArpCacheTest, JournalRemembersWhatTheCacheForgets) {
   sim.RunFor(Duration::Hours(2));
   second->SendUdp(subnet.HostAt(9), 1, 5000, {});
   sim.RunFor(Duration::Minutes(5));
-  watch.StopCapture();
+  watch.Cancel();
 
   // The peer's ARP cache: at most one binding for .5 (and likely expired).
   EXPECT_LE(peer->arp_cache().Snapshot(sim.Now()).size(), 2u);

@@ -72,7 +72,7 @@ TEST_F(RouterTest, TtlDecrementedAcrossHops) {
 
 TEST_F(RouterTest, TtlExpiryProducesTimeExceeded) {
   bool time_exceeded = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
     if (message.type == IcmpType::kTimeExceeded) {
       // The error comes from the near-side router interface.
       EXPECT_EQ(packet.src, router_left_->ip);
@@ -87,7 +87,7 @@ TEST_F(RouterTest, TtlExpiryProducesTimeExceeded) {
 TEST_F(RouterTest, SilentTtlDropFault) {
   router_->router_config().silent_ttl_drop = true;
   bool any = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { any = true; });
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage&) { any = true; });
   alice_->SendUdp(bob_->primary_interface()->ip, 4001, 33434, {}, 1);
   sim_.events().RunUntilIdle();
   EXPECT_FALSE(any);
@@ -116,7 +116,7 @@ TEST_F(RouterTest, ReflectTtlFaultKillsErrorFromDistantRouters) {
   r2->routing_table().Learn(left_subnet_, r1_middle->ip, r2_middle, 2, sim_.Now());
 
   int errors_from_r2 = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet& packet, const IcmpMessage& message) {
     if (message.type == IcmpType::kTimeExceeded && packet.src == r2_middle->ip) {
       ++errors_from_r2;
     }
@@ -137,7 +137,7 @@ TEST_F(RouterTest, ReflectTtlFaultKillsErrorFromDistantRouters) {
 
 TEST_F(RouterTest, NoRouteYieldsNetUnreachable) {
   bool unreachable = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kDestUnreachable &&
         message.code == static_cast<uint8_t>(IcmpUnreachableCode::kNetUnreachable)) {
       unreachable = true;
@@ -150,7 +150,7 @@ TEST_F(RouterTest, NoRouteYieldsNetUnreachable) {
 
 TEST_F(RouterTest, DirectedBroadcastDroppedByDefault) {
   int bob_echoes = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++bob_echoes;
     }
@@ -163,7 +163,7 @@ TEST_F(RouterTest, DirectedBroadcastDroppedByDefault) {
 TEST_F(RouterTest, DirectedBroadcastForwardedWhenAllowed) {
   router_->router_config().forwards_directed_broadcast = true;
   int bob_echoes = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++bob_echoes;
     }
@@ -175,7 +175,7 @@ TEST_F(RouterTest, DirectedBroadcastForwardedWhenAllowed) {
 
 TEST_F(RouterTest, HostZeroOfAttachedSubnetAnsweredByRouter) {
   bool unreachable = false;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kDestUnreachable &&
         message.code == static_cast<uint8_t>(IcmpUnreachableCode::kPortUnreachable)) {
       unreachable = true;
@@ -188,7 +188,7 @@ TEST_F(RouterTest, HostZeroOfAttachedSubnetAnsweredByRouter) {
 
 TEST_F(RouterTest, RouterAnswersPingOnItsOwnInterfaces) {
   int replies = 0;
-  alice_->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice_->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++replies;
     }

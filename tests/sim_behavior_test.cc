@@ -161,7 +161,7 @@ TEST(RoutingLoopTest, PacketDiesByTtlNotForever) {
   alice->SetDefaultGateway(r1_lan->ip);
 
   int time_exceeded = 0;
-  alice->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kTimeExceeded) {
       ++time_exceeded;
     }
@@ -215,7 +215,7 @@ TEST(RouterLifecycleTest, DownRouterPartitionsAndRecoers) {
   bob->SetDefaultGateway(Ipv4Address(10, 0, 2, 1));
 
   int replies = 0;
-  alice->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  alice->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++replies;
     }

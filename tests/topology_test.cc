@@ -143,7 +143,7 @@ TEST(CampusTest, RoutingWorksEndToEnd) {
   }
   ASSERT_NE(far_host, nullptr);
   int replies = 0;
-  campus.vantage->SetIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
+  campus.vantage->AddIcmpListener([&](const Ipv4Packet&, const IcmpMessage& message) {
     if (message.type == IcmpType::kEchoReply) {
       ++replies;
     }
