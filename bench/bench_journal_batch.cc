@@ -132,8 +132,8 @@ void BM_StoreNewV2Batch64(benchmark::State& state) {
 BENCHMARK(BM_StoreNewV2Batch64);
 
 // Read path: repeated full-table GetInterfaces against an unchanged Journal.
-// Uncached, every call re-serializes all records; with the generation-tagged
-// cache, repeats are answered client-side.
+// Uncached, every call re-serializes all records; with the query cache, each
+// repeat is one empty change-feed delta and a copy of the mirrored table.
 void BM_GetInterfacesUncached(benchmark::State& state) {
   JournalServer server([]() { return SimTime::Epoch(); });
   JournalClient client(&server);

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   JournalServer server([&sim]() { return sim.Now(); });
   server.EnableCheckpoint(out_dir + "/fremont-journal.bin", Duration::Hours(6));
   JournalClient journal(&server);
-  // Sole mutator of this server: exclusive query caching is sound, and
-  // repeated fruitfulness checks between module runs become free.
+  // Whole-table reads between module runs patch a mirrored copy from the
+  // change feed instead of refetching every record.
   journal.EnableQueryCache();
   Host* vantage = campus.vantage;
 

@@ -91,7 +91,7 @@ int main() {
 
   JournalServer server([&sim]() { return sim.Now(); });
   JournalClient journal(&server);
-  // Sole mutator: repeated weekly re-reads validate against the generation
+  // Repeated weekly re-reads patch a mirrored copy from the change feed
   // instead of refetching the whole Journal.
   journal.EnableQueryCache();
 

@@ -43,9 +43,8 @@ struct Site {
     campus = BuildCampus(sim, params);
     server = std::make_unique<JournalServer>([this]() { return sim.Now(); });
     journal = std::make_unique<JournalClient>(server.get());
-    // Each site's client is the only mutator of its own server, so
-    // generation-exclusive query caching is sound; replication pulls from the
-    // peer then revalidate with conditional gets.
+    // Whole-table reads patch a mirrored copy from the change feed instead
+    // of refetching every record.
     journal->EnableQueryCache();
     sim.RunFor(Duration::Minutes(5));
   }

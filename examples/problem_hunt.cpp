@@ -31,8 +31,8 @@ int main() {
 
   JournalServer server([&sim]() { return sim.Now(); });
   JournalClient journal(&server);
-  // Sole mutator: the analysis passes below re-read the same tables, and the
-  // exclusive cache answers the repeats from memory (or a delta patch).
+  // The analysis passes below re-read the same tables: each repeat patches
+  // the mirrored copy from a change-feed delta.
   journal.EnableQueryCache();
   sim.RunUntil(SimTime::Epoch() + Duration::Hours(10));
 

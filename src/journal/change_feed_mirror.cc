@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/journal/client.h"
-#include "src/journal/query_cache.h"
 #include "src/util/string_util.h"
 
 namespace fremont {
@@ -58,7 +57,7 @@ RecordKind MirroredTable<Record>::kind() {
 }
 
 template <typename Record>
-TableSync<Record> MirroredTable<Record>::Sync(JournalClient& client, bool from_wire) {
+TableSync<Record> MirroredTable<Record>::Sync(JournalClient& client) {
   JournalClient::DeltaResult delta;
   if (generation_.has_value()) {
     delta = client.GetChangedSince(kind(), *generation_);
@@ -68,7 +67,7 @@ TableSync<Record> MirroredTable<Record>::Sync(JournalClient& client, bool from_w
     sync = Patch(std::move(Table<Record>::Of(delta)), delta.tombstones);
     generation_ = delta.generation;
   } else if (!generation_.has_value() || delta.status == ResponseStatus::kFullResyncRequired) {
-    sync = Refetch(client, from_wire);
+    sync = Refetch(client);
   } else {
     sync.failed = true;
   }
@@ -79,29 +78,17 @@ TableSync<Record> MirroredTable<Record>::Sync(JournalClient& client, bool from_w
 }
 
 template <typename Record>
-TableSync<Record> MirroredTable<Record>::Refetch(JournalClient& client, bool from_wire) {
+TableSync<Record> MirroredTable<Record>::Refetch(JournalClient& client) {
   TableSync<Record> sync;
   sync.failed = true;  // Until the read succeeds.
-  std::vector<Record> fetched;
-  uint64_t fetched_at = 0;
-  if (JournalQueryCache* cache = from_wire ? nullptr : client.query_cache(); cache != nullptr) {
-    const MirroredTable<Record>* current = cache->CurrentTable<Record>();
-    if (current == nullptr) {
-      return sync;
-    }
-    fetched = current->records();
-    fetched_at = *current->generation();
-  } else {
-    JournalRequest request;
-    request.type = Table<Record>::kFetch;
-    JournalResponse resp = client.RoundTrip(request);
-    // kNotFound answers a read of an empty table.
-    if (resp.status != ResponseStatus::kOk && resp.status != ResponseStatus::kNotFound) {
-      return sync;
-    }
-    fetched = std::move(Table<Record>::Of(resp));
-    fetched_at = resp.generation;
+  JournalRequest request;
+  request.type = Table<Record>::kFetch;
+  JournalResponse resp = client.RoundTrip(request);
+  // kNotFound answers a read of an empty table.
+  if (resp.status != ResponseStatus::kOk && resp.status != ResponseStatus::kNotFound) {
+    return sync;
   }
+  std::vector<Record> fetched = std::move(Table<Record>::Of(resp));
   // Splice the fetch in like a delta whose tombstones are the mirrored
   // records it no longer holds.
   std::vector<RecordId> gone;
@@ -118,7 +105,7 @@ TableSync<Record> MirroredTable<Record>::Refetch(JournalClient& client, bool fro
   }
   sync = Patch(std::move(fetched), gone);
   sync.refetched = true;
-  generation_ = fetched_at;
+  generation_ = resp.generation;
   return sync;
 }
 

@@ -6,14 +6,13 @@
 // subnets: ascending network), and the fallback. Sync() patches in what
 // kGetChangedSince reports after the cursor, so the copy stays
 // byte-identical to a full fetch. Only a table never synced, or one past
-// the changelog horizon (kFullResyncRequired), is refetched whole; on a
-// query-cached client the cache answers the refetch from its own copy. A
-// read that fails (transport or decode error) changes nothing: the copy and
-// its cursor stay as they were, and the next sync retries. Each sync
-// reports every changed record and every tombstone next to the mirrored
-// copy it replaces.
-// Consumers: JournalQueryCache, serve::ServeService, CorrelationState and
-// ReplicationPeer.
+// the changelog horizon (kFullResyncRequired), is refetched whole, from the
+// wire. A read that fails (transport or decode error) changes nothing: the
+// copy and its cursor stay as they were, and the next sync retries. Each
+// sync reports every changed record and every tombstone next to the
+// mirrored copy it replaces.
+// Consumers: JournalClient's query cache, serve::ServeService,
+// CorrelationState and ReplicationPeer.
 
 #ifndef SRC_JOURNAL_CHANGE_FEED_MIRROR_H_
 #define SRC_JOURNAL_CHANGE_FEED_MIRROR_H_
@@ -53,7 +52,7 @@ class MirroredTable {
   static RecordKind kind();
 
   // Brings the copy current to the Journal; see the file comment.
-  TableSync<Record> Sync(JournalClient& client) { return Sync(client, /*from_wire=*/false); }
+  TableSync<Record> Sync(JournalClient& client);
 
   // The mirrored records in canonical order.
   const std::vector<Record>& records() const { return records_; }
@@ -61,13 +60,8 @@ class MirroredTable {
   std::optional<uint64_t> generation() const { return generation_; }
 
  private:
-  // The query cache syncs its own tables with `from_wire` set: their
-  // refetch is the cache's miss path, so it must not ask the cache.
-  friend class JournalQueryCache;
-  TableSync<Record> Sync(JournalClient& client, bool from_wire);
-  // Reads the whole table (from the client's query cache unless
-  // `from_wire`) and splices it in.
-  TableSync<Record> Refetch(JournalClient& client, bool from_wire);
+  // Reads the whole table and splices it in.
+  TableSync<Record> Refetch(JournalClient& client);
   TableSync<Record> Patch(std::vector<Record> changed, const std::vector<RecordId>& tombstones);
 #if FREMONT_AUDIT_ENABLED
   void Audit(const TableSync<Record>& sync) const;

@@ -3,12 +3,45 @@
 #include <algorithm>
 
 #include "src/journal/batch_writer.h"
-#include "src/journal/query_cache.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/names.h"
 #include "src/telemetry/span.h"
+#include "src/telemetry/trace.h"
+#include "src/util/string_util.h"
 
 namespace fremont {
+
+namespace {
+
+// A query-cached whole-table read: brings the mirrored table current and
+// returns it. A failed read counts nothing and returns the table as it was.
+template <typename Record>
+std::vector<Record> ReadCurrent(JournalClient& client, MirroredTable<Record>& table) {
+  const TableSync<Record> sync = table.Sync(client);
+  if (sync.failed) {
+    return table.records();
+  }
+  telemetry::MetricsRegistry::Global()
+      .GetCounter(sync.refetched ? telemetry::names::kJournalClientCacheMisses
+                                 : telemetry::names::kJournalClientCacheHits)
+      ->Increment();
+  // Untimed breadcrumb in the consumer's trace: the table this pass read was
+  // repaired from deltas, not refetched.
+  auto& tracer = telemetry::Tracer::Global();
+  if (!sync.refetched && tracer.enabled()) {
+    const auto tombstones = static_cast<size_t>(
+        std::count_if(sync.changes.begin(), sync.changes.end(),
+                      [](const RecordChange<Record>& change) { return !change.after; }));
+    tracer.Record(SimTime::FromMicros(0), telemetry::TraceEventKind::kChangelogDelta,
+                  "query_cache",
+                  StringPrintf("patched kind=%d records=%zu tombstones=%zu",
+                               static_cast<int>(table.kind()), sync.changes.size() - tombstones,
+                               tombstones));
+  }
+  return table.records();
+}
+
+}  // namespace
 
 JournalClient::~JournalClient() {
   // Writers normally outlive nothing: they flush and detach in their own
@@ -17,10 +50,6 @@ JournalClient::~JournalClient() {
   for (JournalBatchWriter* writer : writers_) {
     writer->OrphanFromClient();
   }
-}
-
-void JournalClient::EnableQueryCache(bool exclusive) {
-  cache_ = std::make_unique<JournalQueryCache>(this, exclusive);
 }
 
 void JournalClient::AttachWriter(JournalBatchWriter* writer) { writers_.push_back(writer); }
@@ -134,8 +163,8 @@ std::vector<BatchItemResult> JournalClient::StoreBatch(const JournalRequest* ite
 }
 
 std::vector<InterfaceRecord> JournalClient::GetInterfaces(const Selector& selector) {
-  if (cache_ != nullptr) {
-    return cache_->GetInterfaces(selector);
+  if (cache_.has_value() && selector.kind == Selector::Kind::kAll) {
+    return ReadCurrent(*this, cache_->interfaces());
   }
   JournalRequest req;
   req.type = RequestType::kGetInterfaces;
@@ -152,8 +181,8 @@ std::optional<InterfaceRecord> JournalClient::GetInterfaceById(RecordId id) {
 }
 
 std::vector<GatewayRecord> JournalClient::GetGateways() {
-  if (cache_ != nullptr) {
-    return cache_->GetGateways();
+  if (cache_.has_value()) {
+    return ReadCurrent(*this, cache_->gateways());
   }
   JournalRequest req;
   req.type = RequestType::kGetGateways;
@@ -210,8 +239,8 @@ bool JournalClient::Unsubscribe(uint32_t subscriber_id) {
 }
 
 std::vector<SubnetRecord> JournalClient::GetSubnets() {
-  if (cache_ != nullptr) {
-    return cache_->GetSubnets();
+  if (cache_.has_value()) {
+    return ReadCurrent(*this, cache_->subnets());
   }
   JournalRequest req;
   req.type = RequestType::kGetSubnets;
@@ -240,9 +269,6 @@ bool JournalClient::DeleteSubnet(RecordId id) {
 }
 
 JournalStats JournalClient::GetStats() {
-  if (cache_ != nullptr) {
-    return cache_->GetStats();
-  }
   JournalRequest req;
   req.type = RequestType::kGetStats;
   JournalResponse resp = RoundTrip(req);

@@ -9,9 +9,12 @@
 // Protocol v2 client machinery lives here too:
 //  - StoreBatch() ships N writes in one round trip (see JournalBatchWriter
 //    for the buffering front end explorers use).
-//  - EnableQueryCache() attaches a JournalQueryCache that answers repeated
-//    Get*/GetStats calls from memory while the Journal's mutation generation
-//    is unchanged.
+//  - EnableQueryCache() keeps whole-table reads (GetInterfaces() with the
+//    all-records selector, GetGateways(), GetSubnets()) in a ChangeFeedMirror:
+//    each read brings its table current with one kGetChangedSince round trip
+//    and refetches it whole only on first use or past the changelog horizon.
+//    A read that fails returns the table as it was. Every other read goes
+//    to the wire.
 //  - RoundTrip() reuses one scratch encode buffer across requests instead of
 //    allocating per call.
 
@@ -19,18 +22,16 @@
 #define SRC_JOURNAL_CLIENT_H_
 
 #include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
+#include "src/journal/change_feed_mirror.h"
 #include "src/journal/protocol.h"
-#include "src/journal/query_cache.h"
 #include "src/journal/server.h"
 
 namespace fremont {
 
 class JournalBatchWriter;
-template <typename Record>
-class MirroredTable;
 
 class JournalClient {
  public:
@@ -115,13 +116,10 @@ class JournalClient {
   void set_store_batch_size(size_t n) { store_batch_size_ = n; }
   size_t store_batch_size() const { return store_batch_size_; }
 
-  // Attaches a JournalQueryCache. `exclusive` promises that every mutation of
-  // the Journal flows through THIS client, which lets repeated queries be
-  // answered with zero round trips; non-exclusive clients always revalidate
-  // on the wire (whole tables by a change-feed delta, the rest by a
-  // conditional get).
-  void EnableQueryCache(bool exclusive = true);
-  JournalQueryCache* query_cache() { return cache_.get(); }
+  // Keeps whole-table reads in a change-feed mirror (see the file comment).
+  // Correct with any number of writers: every read asks the Journal what
+  // changed.
+  void EnableQueryCache() { cache_.emplace(); }
 
   // Generation stamped on the most recent response seen by this client.
   uint64_t last_seen_generation() const { return last_seen_generation_; }
@@ -130,7 +128,6 @@ class JournalClient {
 
  private:
   friend class JournalBatchWriter;
-  friend class JournalQueryCache;
   template <typename Record>
   friend class MirroredTable;
 
@@ -150,7 +147,7 @@ class JournalClient {
   size_t store_batch_size_ = 64;
   ByteWriter scratch_;  // Request encode buffer, reused across round trips.
   std::vector<JournalBatchWriter*> writers_;
-  std::unique_ptr<JournalQueryCache> cache_;
+  std::optional<ChangeFeedMirror> cache_;
 };
 
 }  // namespace fremont

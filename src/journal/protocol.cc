@@ -92,8 +92,8 @@ constexpr int64_t kNoObsTime = INT64_MIN;
 constexpr uint8_t kSpanContextTag = 0xC5;
 constexpr uint8_t kSpanContextLen = 24;  // 3 × u64.
 
-// The only frame types that may carry the span-context trailer. Gets reuse
-// their trailing bytes for `if_generation`, and v1 types stay byte-frozen.
+// The only frame types that may carry the span-context trailer: v1 types
+// stay byte-frozen.
 bool CarriesSpanContext(RequestType type) {
   return type == RequestType::kBatch || type == RequestType::kGetChangedSince;
 }
@@ -107,11 +107,6 @@ void EncodeSpanContext(ByteWriter& writer, const telemetry::SpanContext& ctx) {
   writer.WriteU64(ctx.trace_id);
   writer.WriteU64(ctx.span_id);
   writer.WriteU64(ctx.parent_span_id);
-}
-
-bool IsGetType(RequestType type) {
-  return type == RequestType::kGetInterfaces || type == RequestType::kGetGateways ||
-         type == RequestType::kGetSubnets || type == RequestType::kGetStats;
 }
 
 // True when a frame's type byte names a RequestType. Exhaustive rather than a
@@ -209,14 +204,8 @@ void JournalRequest::EncodeTo(ByteWriter& writer) const {
       writer.WriteU32(subscriber_id);
       break;
   }
-  // Conditional-get tag. Written only when set, after the v1 body, so a v1
-  // request is byte-identical and a v1 decoder's trailing bytes are ignored.
-  if (if_generation != 0 && IsGetType(type)) {
-    writer.WriteU64(if_generation);
-  }
   // Span-context trailer, v2 frames only (kBatch appends it inside
-  // EncodeBatchFrame). Gets cannot carry it — their trailing bytes already
-  // mean `if_generation` — and v1 store/delete frames stay byte-frozen.
+  // EncodeBatchFrame); v1 frames stay byte-frozen.
   if (CarriesSpanContext(type)) {
     EncodeSpanContext(writer, span_ctx);
   }
@@ -310,11 +299,6 @@ bool JournalRequest::DecodeInto(JournalRequest& out, ByteReader& reader, bool in
     case RequestType::kUnsubscribe:
       out.subscriber_id = reader.ReadU32();
       break;
-  }
-  // Batch items decode mid-buffer, where the remaining bytes belong to the
-  // next item — only a top-level Get may consume a trailing generation tag.
-  if (!inside_batch && IsGetType(out.type) && reader.remaining() >= 8) {
-    out.if_generation = reader.ReadU64();
   }
   // Span-context trailer. Only consumed when the tag and length validate, so
   // a frame with unrelated trailing bytes decodes exactly as before (trailing

@@ -17,10 +17,9 @@
 //  - kBatch carries N heterogeneous store/delete sub-requests, each with an
 //    optional client-stamped observation time, and the response returns one
 //    BatchItemResult per item.
-//  - Every response is stamped with the Journal's mutation generation; Get
-//    requests may carry `if_generation` (encoded only when nonzero, as a
-//    trailing field v1 decoders never wrote) and receive kNotModified when
-//    the Journal has not mutated since — the record payload is skipped.
+//  - Every response is stamped with the Journal's mutation generation, the
+//    cursor change-feed mirrors resume from. Response status 3 is reserved:
+//    no server sends it.
 //  - kGetChangedSince{kind, since_generation} returns only the records of
 //    `kind` that changed after `since_generation`, plus the ids of deleted
 //    ones (tombstones — which Selector::kModifiedSince cannot express), or
@@ -29,10 +28,10 @@
 //  - v2 request frames (kBatch, kGetChangedSince) may carry the sender's
 //    telemetry SpanContext as a trailing tagged field, so one trace links a
 //    probe's batch flush to the server-side store and a correlation pass to
-//    the deltas it consumed. v1 frames never carry it (their trailing bytes
-//    already mean `if_generation`), and the tag is only consumed when it
-//    validates — absent context decodes to the zero SpanContext. See
-//    DESIGN.md §13.
+//    the deltas it consumed. v1 frames never carry it (their framing stays
+//    byte-frozen), and the tag is only consumed when it validates — absent
+//    context decodes to the zero SpanContext. Other trailing bytes are
+//    ignored. See DESIGN.md §13.
 //  - Serving ops (DESIGN.md §15): kSubscribe registers a push subscription
 //    (subscriber_id names a pre-registered push channel; since_generation is
 //    the resume cursor; view_mask selects materialized views), kUnsubscribe
@@ -178,10 +177,6 @@ struct JournalRequest {
   std::optional<SubnetObservation> subnet_obs;
   Selector selector;
   RecordId delete_id = kInvalidRecordId;
-  // v2: conditional Get/GetStats — "answer only if the Journal mutated since
-  // generation N". 0 means unconditional, and 0 is also what v1 bytes decode
-  // to (the field is a trailing optional on the wire).
-  uint64_t if_generation = 0;
   // v2: batch items only — the simulated time the observation was made, so a
   // deferred flush stamps records exactly as an immediate store would have.
   std::optional<SimTime> obs_time;
@@ -228,7 +223,7 @@ enum class ResponseStatus : uint8_t {
   kOk = 0,
   kMalformedRequest = 1,
   kNotFound = 2,
-  kNotModified = 3,        // v2: conditional Get matched `if_generation`.
+  kNotModified = 3,        // Reserved: no server sends it.
   kFullResyncRequired = 4, // v2: since_generation predates the changelog horizon.
 };
 

@@ -265,16 +265,6 @@ JournalResponse JournalServer::DispatchRead(const JournalRequest& request, SimTi
   auto& metrics = telemetry::MetricsRegistry::Global();
   JournalResponse resp;
 
-  // Conditional read: the client proved it already has the answer for this
-  // generation, so skip the record copy and serialization entirely.
-  const bool is_get =
-      request.type == RequestType::kGetInterfaces || request.type == RequestType::kGetGateways ||
-      request.type == RequestType::kGetSubnets || request.type == RequestType::kGetStats;
-  if (is_get && request.if_generation != 0 && request.if_generation == journal_.generation()) {
-    resp.status = ResponseStatus::kNotModified;
-    return resp;  // Handle() stamps resp.generation on every path.
-  }
-
   switch (request.type) {
     case RequestType::kGetInterfaces: {
       const Selector& sel = request.selector;

@@ -54,13 +54,13 @@ class MacAddress {
   constexpr bool operator==(const MacAddress& other) const { return ToU64() == other.ToU64(); }
   constexpr auto operator<=>(const MacAddress&) const = default;
 
-  // Packs into a uint64 (high 16 bits zero) for hashing and index keys.
+  // Packs into a uint64 (high 16 bits zero, first octet highest) for hashing
+  // and index keys. One expression, so == and the hash compile to straight
+  // loads and shifts instead of a per-octet loop.
   constexpr uint64_t ToU64() const {
-    uint64_t v = 0;
-    for (uint8_t o : octets_) {
-      v = v << 8 | o;
-    }
-    return v;
+    return static_cast<uint64_t>(octets_[0]) << 40 | static_cast<uint64_t>(octets_[1]) << 32 |
+           static_cast<uint64_t>(octets_[2]) << 24 | static_cast<uint64_t>(octets_[3]) << 16 |
+           static_cast<uint64_t>(octets_[4]) << 8 | octets_[5];
   }
 
  private:

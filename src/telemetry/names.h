@@ -112,7 +112,10 @@ inline constexpr MetricName kJournalClientBytesReceived{"journal_client/bytes_re
 inline constexpr MetricName kJournalClientDecodeFailures{"journal_client/decode_failures"};
 inline constexpr MetricName kJournalClientEncodeBytesReused{"journal_client/encode_bytes_reused"};
 inline constexpr MetricName kJournalClientBatchSize{"journal_client/batch_size"};
+// A query-cached whole-table read whose table was patched from a delta.
 inline constexpr MetricName kJournalClientCacheHits{"journal_client/cache_hits"};
+// A query-cached whole-table read whose table was refetched whole (first use
+// or past the changelog horizon).
 inline constexpr MetricName kJournalClientCacheMisses{"journal_client/cache_misses"};
 inline constexpr MetricName kJournalClientDeltaRecords{"journal_client/delta_records"};
 inline constexpr MetricName kJournalClientFullResyncs{"journal_client/full_resyncs"};

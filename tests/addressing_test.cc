@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/net/ipv4_address.h"
@@ -50,9 +51,22 @@ TEST(MacAddressTest, OrderingAndPacking) {
   EXPECT_EQ(a.ToU64() + 1, b.ToU64());
 }
 
+// The packed value and its hash, checked against a plain fold of the octets
+// (first octet highest), so hash-map orders keyed on MACs cannot move.
+void ExpectPackedMatchesFold(const MacAddress& mac) {
+  uint64_t fold = 0;
+  for (uint8_t octet : mac.octets()) {
+    fold = fold << 8 | octet;
+  }
+  EXPECT_EQ(mac.ToU64(), fold) << mac.ToString();
+  EXPECT_EQ(std::hash<MacAddress>()(mac), std::hash<uint64_t>()(fold)) << mac.ToString();
+}
+
 // MacAddress's == compares the packed value while <=> stays the defaulted
 // octet-wise ordering; all three operators must agree with the octets.
 void ExpectComparisonsAgree(const MacAddress& a, const MacAddress& b) {
+  ExpectPackedMatchesFold(a);
+  ExpectPackedMatchesFold(b);
   const bool same_octets = a.octets() == b.octets();
   const bool octets_less = std::lexicographical_compare(a.octets().begin(), a.octets().end(),
                                                         b.octets().begin(), b.octets().end());
@@ -72,7 +86,12 @@ TEST(MacAddressTest, EqualityAndOrderingAgreeOnSpecialAndRandomPairs) {
       MacAddress(0x00, 0x00, 0x00, 0x00, 0x00, 0x01),
       MacAddress(0x80, 0x00, 0x00, 0x00, 0x00, 0x00),
       MacAddress::FromOui(kOuiSun, 1),
+      MacAddress(0x01, 0x23, 0x45, 0x67, 0x89, 0xab),  // Every octet distinct.
+      MacAddress(0x00, 0x00, 0x00, 0x00, 0x00, 0xff),
+      MacAddress(0xff, 0x00, 0x00, 0x00, 0x00, 0x00),
   };
+  EXPECT_EQ(MacAddress::Broadcast().ToU64(), 0xffffffffffffu);
+  EXPECT_EQ(MacAddress(0x01, 0x23, 0x45, 0x67, 0x89, 0xab).ToU64(), 0x0123456789abu);
   for (const MacAddress& a : specials) {
     for (const MacAddress& b : specials) {
       ExpectComparisonsAgree(a, b);

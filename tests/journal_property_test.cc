@@ -8,8 +8,9 @@
 
 #include "src/journal/client.h"
 #include "src/journal/journal.h"
-#include "src/journal/query_cache.h"
 #include "src/journal/server.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/names.h"
 #include "src/util/rng.h"
 
 namespace fremont {
@@ -191,10 +192,15 @@ TEST_P(ChangeFeedPropertyTest, DeltaPatchedSnapshotMatchesFullFetch) {
   server.journal().set_changelog_capacity(32);
   JournalClient writer(&server);
   JournalClient reader(&server);
-  // Not the sole mutator: every reader lookup must validate over the wire,
-  // by delta patch when servable and full refetch when not.
-  reader.EnableQueryCache(/*exclusive=*/false);
+  // Every reader lookup validates over the wire, by delta patch when
+  // servable and full refetch when not.
+  reader.EnableQueryCache();
   JournalClient fresh(&server);  // Uncached reference reader.
+  auto& metrics = telemetry::MetricsRegistry::Global();
+  const uint64_t patches_before =
+      metrics.GetCounter(telemetry::names::kJournalClientCacheHits)->value();
+  const uint64_t resyncs_before =
+      metrics.GetCounter(telemetry::names::kJournalClientFullResyncs)->value();
 
   auto random_ip = [&]() {
     return Ipv4Address(128, 138, static_cast<uint8_t>(rng.Uniform(1, 4)),
@@ -232,10 +238,14 @@ TEST_P(ChangeFeedPropertyTest, DeltaPatchedSnapshotMatchesFullFetch) {
   }
   ASSERT_EQ(EncodeSnapshot(reader.GetInterfaces()), EncodeSnapshot(fresh.GetInterfaces()));
 
-  // The run must actually have exercised both repair paths.
-  const auto& stats = reader.query_cache()->stats();
-  EXPECT_GT(stats.patches, 0u) << "no lookup was served by a delta patch";
-  EXPECT_GT(stats.resyncs, 0u) << "the changelog horizon was never crossed";
+  // The run must actually have exercised both repair paths. Only the reader
+  // asks the change feed, so the process-wide counters' growth is its own.
+  EXPECT_GT(metrics.GetCounter(telemetry::names::kJournalClientCacheHits)->value(),
+            patches_before)
+      << "no lookup was served by a delta patch";
+  EXPECT_GT(metrics.GetCounter(telemetry::names::kJournalClientFullResyncs)->value(),
+            resyncs_before)
+      << "the changelog horizon was never crossed";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChangeFeedPropertyTest,

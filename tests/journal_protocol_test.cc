@@ -299,18 +299,10 @@ TEST(JournalProtocolTest, V1FramingBytesUnchanged) {
   stats.type = RequestType::kGetStats;
   EXPECT_EQ(stats.Encode().size(), 3u);
 
-  // Get with if_generation == 0 (the v1 value) stays at the v1 length:
-  // 3-byte header + 29-byte selector. Setting the generation appends
-  // exactly the 8-byte trailing tag.
+  // Get stays at the v1 length: 3-byte header + 29-byte selector.
   JournalRequest get;
   get.type = RequestType::kGetInterfaces;
   EXPECT_EQ(get.Encode().size(), 32u);
-  get.if_generation = 7;
-  EXPECT_EQ(get.Encode().size(), 40u);
-
-  auto decoded = JournalRequest::Decode(get.Encode());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->if_generation, 7u);
 }
 
 TEST_F(JournalServerTest, BatchThroughServerAppliesEveryItemWithItsObsTime) {
@@ -338,30 +330,28 @@ TEST_F(JournalServerTest, BatchThroughServerAppliesEveryItemWithItsObsTime) {
   EXPECT_EQ(unstamped[0].ts.last_verified, now_);  // No obs_time: server clock.
 }
 
-TEST_F(JournalServerTest, ConditionalGetReturnsNotModified) {
+// Compatibility: an older client may still append an 8-byte generation tag
+// to a Get, once a conditional-get request. Trailing bytes are ignored, so
+// even a tag equal to the current generation gets the full records.
+TEST_F(JournalServerTest, GetWithTrailingGenerationTagAnswersInFull) {
   client_.StoreInterface(SampleInterfaceObs(), DiscoverySource::kArpWatch);
   const uint64_t gen = client_.last_seen_generation();
   ASSERT_NE(gen, 0u);
 
   JournalRequest get;
   get.type = RequestType::kGetInterfaces;
-  get.if_generation = gen;
-  auto unchanged = JournalResponse::Decode(server_.HandleRequest(get.Encode()));
-  ASSERT_TRUE(unchanged.has_value());
-  EXPECT_EQ(unchanged->status, ResponseStatus::kNotModified);
-  EXPECT_TRUE(unchanged->interfaces.empty());
-  EXPECT_EQ(unchanged->generation, gen);
+  ByteWriter frame;
+  get.EncodeTo(frame);
+  frame.WriteU64(gen);
+  ASSERT_EQ(frame.size(), 40u);
+  ASSERT_TRUE(JournalRequest::Decode(frame.buffer()).has_value());
 
-  // Any mutation bumps the generation and the same conditional get now
-  // returns the records.
-  InterfaceObservation other;
-  other.ip = Ipv4Address(3, 3, 3, 3);
-  client_.StoreInterface(other, DiscoverySource::kSeqPing);
-  auto modified = JournalResponse::Decode(server_.HandleRequest(get.Encode()));
-  ASSERT_TRUE(modified.has_value());
-  EXPECT_EQ(modified->status, ResponseStatus::kOk);
-  EXPECT_EQ(modified->interfaces.size(), 2u);
-  EXPECT_GT(modified->generation, gen);
+  auto response = JournalResponse::Decode(server_.HandleRequest(frame.buffer()));
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, ResponseStatus::kOk);
+  ASSERT_EQ(response->interfaces.size(), 1u);
+  EXPECT_EQ(response->interfaces[0].ip, SampleInterfaceObs().ip);
+  EXPECT_EQ(response->generation, gen);
 }
 
 TEST_F(JournalServerTest, EveryResponseCarriesGeneration) {

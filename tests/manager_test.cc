@@ -598,7 +598,7 @@ TEST(CorrelateTest, IncrementalStateMatchesFullPassEveryRound) {
   JournalServer server([&now]() { return now; });
   JournalClient client(&server);
   JournalClient incr_client(&server);
-  incr_client.EnableQueryCache(/*exclusive=*/false);
+  incr_client.EnableQueryCache();
   CorrelationState state;
 
   auto random_ip = [&]() {

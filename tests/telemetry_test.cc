@@ -281,8 +281,8 @@ TEST(JournalTelemetryTest, V2InstrumentsCoverBatchingCachingAndScratchReuse) {
       writer.StoreInterface(obs, DiscoverySource::kArpWatch);
     }
   }  // 8 stores at batch size 4: exactly two kBatch flushes.
-  client.GetInterfaces();  // Journal changed since the last response: miss.
-  client.GetInterfaces();  // Unchanged generation: served client-side.
+  client.GetInterfaces();  // First read: the table is fetched whole, a miss.
+  client.GetInterfaces();  // Nothing changed: patched from an empty delta.
 
   const MutexLock lock(metrics.export_mutex());
   const Histogram& batch_sizes = metrics.histograms().at("journal_client/batch_size");

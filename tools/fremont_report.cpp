@@ -203,9 +203,8 @@ int main(int argc, char** argv) {
   if (argc < 3) {
     return Usage(argv[0]);
   }
-  // The checkpoint is served through the full server+client stack so the
-  // analysis programs below share one generation-validated query cache:
-  // commands that read the same table several times pay one fetch.
+  // The checkpoint is served through the full server+client stack, so the
+  // analysis programs below read it as they would a live Journal.
   SimTime now;
   JournalServer server([&now] { return now; });
   if (!server.journal().LoadFromFile(argv[1])) {
@@ -214,7 +213,6 @@ int main(int argc, char** argv) {
   }
   now = NewestVerification(server.journal());
   JournalClient client(&server);
-  client.EnableQueryCache(/*exclusive=*/true);
   const std::string command = argv[2];
 
   if (command == "--telemetry" || command == "telemetry") {

@@ -8,7 +8,10 @@
 # export of <rev> (git archive), once from the working tree — runs each into
 # a fresh output directory, and compares all six output files with cmp.
 # Prints every file that differs and exits 1 if any does; exits 0 when all
-# six match and 2 on a usage or build error. The run is seeded, so a change
+# six match and 2 on a usage or build error. When the telemetry file
+# differs it also names each counter, gauge and histogram key that moved,
+# with both values; when the Chrome trace differs, each (kind, module)
+# whose event count moved (both need python3). The run is seeded, so a change
 # that promises "nothing simulated moved" must pass against its parent. It
 # is a tool, not a CI gate: a change that alters behaviour legitimately
 # changes the outputs. Set TMPDIR to choose where the builds go.
@@ -64,11 +67,60 @@ for side in rev tree; do
   fi
 done
 
+# explain telemetry|chrome <rev file> <tree file>: prints what moved between
+# the two runs' telemetry files (each metric key whose value differs) or
+# Chrome traces (the event count of each (kind, module) that differs). The
+# Chrome trace holds every recorded event, while the telemetry file keeps
+# only the ring's newest ones, so event counts come from the Chrome trace.
+explain() {
+  command -v python3 >/dev/null 2>&1 || return 0
+  python3 - "$@" <<'PY'
+import collections, json, sys
+
+kind, rev, tree = sys.argv[1], json.load(open(sys.argv[2])), json.load(open(sys.argv[3]))
+
+def fields(value):
+    # One metric's value as {field: scalar}; histogram buckets by bound.
+    if not isinstance(value, dict):
+        return {"": value}
+    out = {}
+    for field, item in value.items():
+        if field == "buckets":
+            out.update({"le=%s" % b["le"]: b["count"] for b in item})
+        else:
+            out[field] = item
+    return out
+
+def show(label, a, b):
+    print("  %s: %s -> %s" % (label, "absent" if a is None else a, "absent" if b is None else b))
+
+if kind == "telemetry":
+    for section in ("counters", "gauges", "histograms"):
+        a, b = rev.get(section, {}), tree.get(section, {})
+        for key in sorted(set(a) | set(b)):
+            fa, fb = fields(a.get(key, {})), fields(b.get(key, {}))
+            for field in dict.fromkeys(list(fa) + list(fb)):
+                if fa.get(field) != fb.get(field):
+                    show(" ".join(x for x in (section, key, field) if x), fa.get(field),
+                         fb.get(field))
+else:
+    count = lambda doc: collections.Counter((e["cat"], e["name"]) for e in doc["traceEvents"])
+    a, b = count(rev), count(tree)
+    for kind_module in sorted(set(a) | set(b)):
+        if a[kind_module] != b[kind_module]:
+            show("trace events kind=%s module=%s" % kind_module, a[kind_module], b[kind_module])
+PY
+}
+
 status=0
 for f in $files; do
   if ! cmp -s "$work/out-rev/$f" "$work/out-tree/$f"; then
     echo "same_campus: $f differs between $rev and the working tree"
     cmp "$work/out-rev/$f" "$work/out-tree/$f" || true
+    case $f in
+      fremont-telemetry.json) explain telemetry "$work/out-rev/$f" "$work/out-tree/$f" || true ;;
+      fremont-chrome-trace.json) explain chrome "$work/out-rev/$f" "$work/out-tree/$f" || true ;;
+    esac
     status=1
   fi
 done
